@@ -9,13 +9,11 @@ __version__ = "0.1.0"
 
 from .criteria import (
     CriteriaReport,
-    OptimismReport,
     bplus_hat,
     cp,
     criteria_report,
     gcv,
     ocv,
-    optimism,
     optr_asymptotic,
     rcp,
     rcp_hat,
@@ -70,7 +68,7 @@ __all__ = [
     # criteria
     "cp", "rcp", "rcp_hat", "gcv", "ocv", "bplus_hat", "rcp_plus",
     "rcp_plus_from_ocv", "vplus_normal_exact", "vplus_asymptotic",
-    "optr_asymptotic", "optimism", "OptimismReport", "CriteriaReport",
+    "optr_asymptotic", "CriteriaReport",
     "criteria_report",
     # decomp
     "ConditionalMoments", "conditional_moments", "DecompositionEstimate",

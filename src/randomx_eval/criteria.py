@@ -9,7 +9,7 @@ quantities only:
               random normal covariates, ``vplus_normal_exact``.
 ``rcp_hat``   the sigma-free version: RSS (n-1) / ((n-p)(n-p-1)); identical to
               plugging sigma2_hat = RSS/(n-p) into rcp.
-``gcv``       RSS / (n (1 - p/n)^2).
+``gcv``       RSS / (n (1 - df/n)^2), df = p or tr(S).
 ``ocv``       leave-one-out squared error via the deleted-residual shortcut
               r_i / (1 - h_ii); exact for least squares and ridge.
 ``bplus_hat`` an unbiased-in-spirit estimate of the excess bias term built
@@ -42,8 +42,6 @@ __all__ = [
     "vplus_normal_exact",
     "vplus_asymptotic",
     "optr_asymptotic",
-    "OptimismReport",
-    "optimism",
     "CriteriaReport",
     "criteria_report",
 ]
@@ -52,11 +50,11 @@ __all__ = [
 LEVERAGE_TOL = 1e-12
 
 
-def _check_scalars(rss: float, n: int, p: int, sigma2: float | None = None) -> None:
+def _check_scalars(rss: float, n: int, p: float, sigma2: float | None = None) -> None:
     if not (np.isfinite(rss) and rss >= 0.0):
         raise ValueError("rss must be finite and >= 0")
-    if n < 2 or p < 1:
-        raise ValueError("need n >= 2 and p >= 1")
+    if n < 2 or not p > 0:
+        raise ValueError("need n >= 2 and p > 0")
     if sigma2 is not None and not (np.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError("sigma2 must be finite and >= 0")
 
@@ -121,8 +119,8 @@ def rcp_hat(rss: float, n: int, p: int) -> float:
     return rss * (n - 1.0) / ((n - p) * (n - p - 1.0))
 
 
-def gcv(rss: float, n: int, p: int) -> float:
-    """Generalized cross-validation: ``RSS / (n (1 - p/n)^2)``."""
+def gcv(rss: float, n: int, p: float) -> float:
+    """Generalized cross-validation ``RSS / (n (1 - p/n)^2)``; ``p`` may be a smoother's tr(S)."""
     _check_scalars(rss, n, p)
     if p >= n:
         raise DimensionError(f"need p < n, got n={n}, p={p}")
@@ -205,44 +203,8 @@ def optr_asymptotic(gamma: float, sigma2: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# optimism and full reports
+# full reports
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OptimismReport:
-    """Optimism of a fit at the three covariate regimes.
-
-    ``opt_f`` is the fixed-covariate optimism ``2 sigma2 tr(S)/n``; ``opt_s``
-    the same-distribution value, equal to ``opt_f`` whenever the smoother
-    trace does not depend on the covariates (least squares: tr = p; kNN:
-    tr = n/k); ``opt_r`` adds supplied excess terms, ``None`` otherwise.
-    """
-
-    opt_f: float
-    opt_s: float
-    opt_r: float | None
-
-
-def optimism(
-    fitted: FittedSmoother,
-    sigma2: float,
-    bplus: float | None = None,
-    vplus: float | None = None,
-) -> OptimismReport:
-    """Optimism report for a fitted linear smoother.
-
-    ``bplus`` and ``vplus`` (estimated excess bias / variance) must be given
-    together or not at all; when given, ``opt_r = opt_s + bplus + vplus``.
-    """
-    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError("sigma2 must be finite and >= 0")
-    if (bplus is None) != (vplus is None):
-        raise ValueError("bplus and vplus must be supplied together")
-    opt_f = 2.0 * sigma2 * fitted.trace_S / fitted.n
-    opt_s = opt_f
-    opt_r = None if bplus is None else opt_s + bplus + vplus
-    return OptimismReport(opt_f=opt_f, opt_s=opt_s, opt_r=opt_r)
-
 
 @dataclass(frozen=True)
 class CriteriaReport:
@@ -267,13 +229,16 @@ class CriteriaReport:
 
 
 def criteria_report(fitted: FittedSmoother, sigma2: float | None = None) -> CriteriaReport:
-    """Compute all criteria for a fitted smoother.
+    """Compute all criteria for a fitted least squares or ridge smoother.
 
-    Uses the fit's stored residuals and hat diagonal; the scalar formulas use
-    p = number of design columns, so the report is meant for least squares
-    and ridge fits.  Requires n > p + 1.
+    Uses the fit's stored residuals and hat diagonal.  ``sigma2_hat`` and
+    ``gcv`` use the degrees of freedom tr(S): p for least squares, the
+    fit's ``trace_S`` for ridge.  ``rcp_hat``, ``cp``, ``rcp`` and
+    ``rcp_plus`` use p = number of design columns; for ridge they are the
+    least squares formulas.  Requires n > p + 1.
     """
     n, p = fitted.n, fitted.p
+    df = fitted.trace_S if fitted.spec.variant == "ridge" else p
     r = fitted.residuals
     rss = float(r @ r)
     kwargs = dict(
@@ -281,9 +246,9 @@ def criteria_report(fitted: FittedSmoother, sigma2: float | None = None) -> Crit
         p=p,
         rss=rss,
         sigma2=sigma2,
-        sigma2_hat=rss / (n - p) if n > p else float("nan"),
+        sigma2_hat=rss / (n - df) if n > df else float("nan"),
         rcp_hat=rcp_hat(rss, n, p),
-        gcv=gcv(rss, n, p),
+        gcv=gcv(rss, n, df),
         ocv=ocv(r, fitted.hat_diag),
     )
     if sigma2 is not None:

@@ -32,7 +32,9 @@ from .errors import LeverageOne, NotPositiveDefinite, RankDeficient
 from .linalg import _cholesky_spd
 from .smoothers import (
     SmootherSpec,
-    gaussian_bandwidth,
+    _kernel_ridge_gram,
+    _linear_fit,
+    gaussian_bandwidth,  # noqa: F401  (unused; perfbench/tracer.py wraps it here)
     kernel_matrix,
     neighbor_sets,
 )
@@ -160,13 +162,9 @@ def conditional_moments_kernel_ridge(
     X, X0, fX, fX0 = _check_inputs(X, X0, fX, fX0)
     n = X.shape[0]
     m = X0.shape[0]
-    if kernel == "gaussian" and bandwidth is None:
-        bandwidth = gaussian_bandwidth(X)
-    K = kernel_matrix(X, X, kernel, bandwidth)
-    factor = _cholesky_spd(K + lam * np.eye(n))
+    bandwidth, K, factor, S = _kernel_ridge_gram(X, lam, kernel, bandwidth)
     w = scipy.linalg.cho_solve(factor, fX, check_finite=False)
     bias_s = float(np.mean((K @ w - fX) ** 2))
-    S = scipy.linalg.cho_solve(factor, K, check_finite=False)
     var_s = sigma2 / n * float(np.sum(S * S))
     K0 = kernel_matrix(X0, X, kernel, bandwidth)
     bias_r = float(np.mean((K0 @ w - fX0) ** 2))
@@ -201,7 +199,9 @@ class DecompositionEstimate:
     ``err_s = sigma2 + B + V`` and ``err_r = err_s + Bplus + Vplus`` hold
     exactly by construction.  ``se_gap`` is the standard error of
     ``err_r - err_s`` (the paired excess sum), which is what positivity
-    checks should be read against.
+    checks should be read against.  ``Vplus`` is not always nonnegative:
+    it is for least squares and exactly 0 for kNN, but shrinkage (ridge,
+    kernel ridge) can make it negative.
     """
 
     sigma2: float
@@ -302,33 +302,16 @@ class OcvConditionalDecomp:
 
 def _smoothed_mean_and_hat(X: np.ndarray, fX: np.ndarray, smoother: SmootherSpec):
     """E[fhat(X) | X] (= S(X) f(X)) and the hat diagonal, without drawing Y."""
-    n, p = X.shape
     if smoother.variant in ("least_squares", "ridge"):
-        G = X.T @ X
-        if smoother.lam:
-            G = G + smoother.lam * np.eye(p)
-        try:
-            factor = _cholesky_spd(G)
-        except NotPositiveDefinite as exc:
-            if smoother.lam == 0.0:
-                raise RankDeficient(f"rank(X) < p for n={n}, p={p}") from exc
-            raise
-        smoothed = X @ scipy.linalg.cho_solve(factor, X.T @ fX, check_finite=False)
-        W = scipy.linalg.cho_solve(factor, X.T, check_finite=False)
-        h = np.clip(np.einsum("ij,ji->i", X, W), 0.0, None)
+        _, smoothed, h = _linear_fit(X, fX, smoother.lam)
         return smoothed, h
     if smoother.variant == "kernel_ridge":
-        bandwidth = smoother.bandwidth
-        if smoother.kernel == "gaussian" and bandwidth is None:
-            bandwidth = gaussian_bandwidth(X)
-        K = kernel_matrix(X, X, smoother.kernel, bandwidth)
-        factor = _cholesky_spd(K + smoother.lam * np.eye(n))
+        _, K, factor, S = _kernel_ridge_gram(X, smoother.lam, smoother.kernel, smoother.bandwidth)
         smoothed = K @ scipy.linalg.cho_solve(factor, fX, check_finite=False)
-        h = np.clip(np.diag(scipy.linalg.cho_solve(factor, K, check_finite=False)).copy(), 0.0, None)
-        return smoothed, h
+        return smoothed, np.clip(np.diag(S), 0.0, None)
     # knn
     nb = neighbor_sets(X, X, smoother.k)
-    return fX[nb].mean(axis=1), np.full(n, 1.0 / smoother.k)
+    return fX[nb].mean(axis=1), np.full(len(X), 1.0 / smoother.k)
 
 
 def ocv_conditional(X, fX, smoother: SmootherSpec, sigma2: float) -> OcvConditionalDecomp:

@@ -8,6 +8,18 @@ covariance-penalty criteria.
 kNN conventions: Euclidean distance, distance ties broken by lowest training
 index, and each training point counts as its own nearest neighbor in-sample,
 so the kNN hat diagonal is exactly 1/k.
+
+Distances: kernels use the GEMM form E = |a|^2 + |b|^2 - 2 a.b, clipped at
+0, after both row sets are shifted by the training column mean.  With |a|,
+|b| the shifted norms, E and the exact difference form D = sum((a - b)^2)
+each lie within about 2 (p + 2) eps (|a|^2 + |b|^2) of the true distance
+(the shift adds 4 eps of the same), so |E - D| <= tol =
+8 (p + 4) eps (|a|^2 + max_j |b_j|^2), with a factor of two to spare.
+kNN ranks follow D, ties included: `neighbor_sets` keeps, per query row,
+every training row with E <= kth + 2 tol (kth: the row's k-th smallest E).
+At least k rows have D <= kth + tol, so every row with D at most the k-th
+smallest D is kept; the shortlist is recomputed as D and ranked by
+(D, index).  Query rows go in blocks, so that E holds at most ~4M doubles.
 """
 
 from __future__ import annotations
@@ -180,16 +192,10 @@ def fit(spec: SmootherSpec, X, Y=None) -> FittedSmoother:
         beta, fitted, h = _linear_fit(X, Y, spec.lam)
         coef = beta
     elif spec.variant == "kernel_ridge":
-        bandwidth = spec.bandwidth
-        if spec.kernel == "gaussian" and bandwidth is None:
-            bandwidth = gaussian_bandwidth(X)
-        K = kernel_matrix(X, X, spec.kernel, bandwidth)
-        factor = _cholesky_spd(K + spec.lam * np.eye(n))
+        bandwidth, K, factor, S = _kernel_ridge_gram(X, spec.lam, spec.kernel, spec.bandwidth)
         coef = scipy.linalg.cho_solve(factor, Y, check_finite=False)
         fitted = K @ coef
-        # diag(K (K + lam I)^{-1}) via one more triangular solve
-        h = np.diag(scipy.linalg.cho_solve(factor, K, check_finite=False)).copy()
-        h = np.clip(h, 0.0, None)
+        h = np.clip(np.diag(S), 0.0, None)
     else:  # knn
         if spec.k > n:
             raise DegenerateNeighbors(f"k={spec.k} exceeds n={n}")
@@ -228,17 +234,37 @@ def predict(model: FittedSmoother, X0: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# neighbors and kernels
+# distances, neighbors and kernels
 # --------------------------------------------------------------------------
 
-def _sq_distances(X0: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distances, computed from differences.
+#: Doubles in one block of query-by-training distances.
+_BLOCK_DOUBLES = 4_000_000
 
-    The expanded dot-product form would round mathematically tied distances
-    apart; forming differences keeps exact ties exact so the lowest-index
-    tie-break is deterministic.
-    """
-    return ((X0[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+
+def _sq_distances(X0: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Squared distances in the GEMM form (module docstring); exactly symmetric if ``X0 is X``."""
+    c = X.mean(axis=0)
+    B = X - c
+    A = B if X0 is X else X0 - c
+    d2 = -2.0 * (A @ B.T)
+    d2 += np.add.outer(np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B))
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _rounding_tol(X0: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per query row, the bound ``tol`` on |E - D| (module docstring)."""
+    c = X.mean(axis=0)
+    sq = np.einsum("ij,ij->i", X0 - c, X0 - c) + np.max(np.einsum("ij,ij->i", X - c, X - c))
+    return 8.0 * (X.shape[1] + 4) * np.finfo(float).eps * sq
+
+
+def _exact_sq_pairs(X0: np.ndarray, X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The difference form D for shortlisted pairs (X0[r], X[c]), at most ~4M differences at a time."""
+    out = np.empty(len(rows))
+    step = max(1, _BLOCK_DOUBLES // max(1, X.shape[1]))
+    for s in range(0, len(rows), step):
+        out[s:s + step] = ((X0[rows[s:s + step]] - X[cols[s:s + step]]) ** 2).sum(axis=1)
+    return out
 
 
 def neighbor_sets(X: np.ndarray, X0: np.ndarray, k: int) -> np.ndarray:
@@ -258,42 +284,51 @@ def neighbor_sets(X: np.ndarray, X0: np.ndarray, k: int) -> np.ndarray:
     -------
     (m, k) int array
         Neighbor indices, nearest first, distance ties broken by lowest
-        index.
+        index; the same as a stable argsort of the exact difference form.
     """
     X = np.asarray(X, dtype=float)
     X0 = np.asarray(X0, dtype=float)
-    n, p = X.shape
+    n = X.shape[0]
     if not 1 <= k <= n:
         raise DegenerateNeighbors(f"k={k} outside 1..n={n}")
     m = X0.shape[0]
     out = np.empty((m, k), dtype=np.intp)
-    # chunk queries to keep the (chunk, n, p) difference tensor modest
-    chunk = max(1, int(4_000_000 // max(1, n * p)))
+    chunk = max(1, _BLOCK_DOUBLES // n)
     for start in range(0, m, chunk):
-        stop = min(m, start + chunk)
-        d2 = _sq_distances(X0[start:stop], X)
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[start:stop] = order[:, :k]
+        Q = X0[start:start + chunk]
+        E = _sq_distances(Q, X)
+        kth = np.partition(E, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(E <= (kth + 2.0 * _rounding_tol(Q, X))[:, None])
+        order = np.lexsort((cols, _exact_sq_pairs(Q, X, rows, cols), rows))
+        first = np.searchsorted(rows, np.arange(len(Q)))  # rows come sorted from nonzero
+        out[start:start + len(Q)] = cols[order][first[:, None] + np.arange(k)]
     return out
 
 
-def gaussian_bandwidth(X: np.ndarray) -> float:
-    """Median pairwise Euclidean distance of the rows (1.0 if degenerate)."""
+def gaussian_bandwidth(X: np.ndarray, d2: np.ndarray | None = None) -> float:
+    """Median pairwise Euclidean distance of the rows (1.0 if degenerate).
+
+    Zero distances (duplicate rows) are left out: pairs whose GEMM-form
+    distance is within rounding of 0 are recomputed exactly.  ``d2`` is
+    ``_sq_distances(X, X)`` if the caller already has it.
+    """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < 2:
         return 1.0
-    d2 = _sq_distances(X, X)
-    iu = np.triu_indices(n, k=1)
-    d = np.sqrt(d2[iu])
-    d = d[d > 0]
-    if d.size == 0:
-        return 1.0
-    return float(np.median(d))
+    if d2 is None:
+        d2 = _sq_distances(X, X)
+    iu, ju = np.triu_indices(n, k=1)
+    sq = d2[iu, ju]
+    near = sq <= np.max(_rounding_tol(X, X))
+    sq[near] = _exact_sq_pairs(X, X, iu[near], ju[near])
+    d = np.sqrt(sq[sq > 0])
+    return float(np.median(d)) if d.size else 1.0
 
 
-def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: str, bandwidth: float | None) -> np.ndarray:
-    """Kernel Gram block k(a_i, b_j) for the supported kernels."""
+def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: str, bandwidth: float | None,
+                  d2: np.ndarray | None = None) -> np.ndarray:
+    """Kernel Gram block k(a_i, b_j); ``d2`` is ``_sq_distances(A, B)`` if already computed."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if kernel == "linear":
@@ -302,5 +337,19 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: str, bandwidth: float | 
         raise ValueError(f"unknown kernel {kernel!r}")
     if bandwidth is None or bandwidth <= 0:
         raise ValueError("gaussian kernel needs a positive bandwidth")
-    d2 = _sq_distances(A, B)
+    if d2 is None:
+        d2 = _sq_distances(A, B)
     return np.exp(-d2 / (2.0 * bandwidth**2))
+
+
+def _kernel_ridge_gram(X: np.ndarray, lam: float, kernel: str, bandwidth: float | None):
+    """Bandwidth, K, Cholesky factor of K + lam I, and S = (K + lam I)^{-1} K, from X.
+
+    One n x n distance matrix gives both the median bandwidth and K.
+    """
+    d2 = _sq_distances(X, X) if kernel == "gaussian" else None
+    if d2 is not None and bandwidth is None:
+        bandwidth = gaussian_bandwidth(X, d2)
+    K = kernel_matrix(X, X, kernel, bandwidth, d2)
+    factor = _cholesky_spd(K + lam * np.eye(X.shape[0]))
+    return bandwidth, K, factor, scipy.linalg.cho_solve(factor, K, check_finite=False)

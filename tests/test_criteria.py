@@ -14,7 +14,6 @@ from randomx_eval.criteria import (
     criteria_report,
     gcv,
     ocv,
-    optimism,
     optr_asymptotic,
     rcp,
     rcp_hat,
@@ -199,30 +198,17 @@ class TestBplusAndRcpPlus:
 
 
 class TestOptimismAndReport:
-    def test_least_squares_optimism(self):
-        rng = np.random.default_rng(36)
-        X = rng.standard_normal((40, 5))
-        m = fit(SmootherSpec.least_squares(), X, rng.standard_normal(40))
-        rep = optimism(m, sigma2=2.0)
-        assert rep.opt_f == pytest.approx(2 * 2.0 * 5 / 40, rel=1e-8)
-        assert rep.opt_s == rep.opt_f
-        assert rep.opt_r is None
-
-    def test_knn_optimism(self):
-        rng = np.random.default_rng(37)
-        X = rng.standard_normal((20, 2))
-        m = fit(SmootherSpec.knn(4), X, rng.standard_normal(20))
-        rep = optimism(m, sigma2=3.0)
-        assert rep.opt_f == pytest.approx(2 * 3.0 / 4)
-
-    def test_opt_r_needs_both_excess_terms(self):
-        rng = np.random.default_rng(38)
-        X = rng.standard_normal((10, 2))
-        m = fit(SmootherSpec.least_squares(), X, rng.standard_normal(10))
-        with pytest.raises(ValueError):
-            optimism(m, 1.0, bplus=0.1)
-        rep = optimism(m, 1.0, bplus=0.1, vplus=0.2)
-        assert rep.opt_r == pytest.approx(rep.opt_s + 0.3)
+    def test_ridge_report_uses_trace_of_smoother(self):
+        rng = np.random.default_rng(40)
+        n, p = 100, 50
+        X = rng.standard_normal((n, p))
+        m = fit(SmootherSpec.ridge(100.0), X, X.sum(axis=1) + rng.standard_normal(n))
+        rep = criteria_report(m)
+        tr = m.trace_S
+        assert 1.0 < tr < p - 1
+        assert rep.gcv == pytest.approx(rep.rss / n / (1.0 - tr / n) ** 2, rel=1e-12)
+        assert rep.sigma2_hat == pytest.approx(rep.rss / (n - tr), rel=1e-12)
+        assert rep.rcp_hat == rcp_hat(rep.rss, n, p)  # the least squares formula
 
     def test_report_with_and_without_sigma2(self):
         rng = np.random.default_rng(39)

@@ -212,6 +212,14 @@ class TestEstimateDecomposition:
         target = vplus_normal_exact(40, 10, 4.0)
         assert abs(est.Vplus - target) <= 2 * est.se_Vplus
 
+    def test_vplus_negative_for_ridge_positive_for_least_squares(self):
+        # shrinkage can make a fit vary less at fresh rows than at its own rows
+        sc = _scenario(covariates=CovariateModel.isotropic(50), noise=NoiseModel(1.0), n=100, seed=1)
+        ridge = estimate_decomposition(sc, SmootherSpec.ridge(100.0))
+        ls = estimate_decomposition(sc, SmootherSpec.least_squares())
+        assert ridge.Vplus < -4 * ridge.se_Vplus  # about -0.0066 +- 0.0002
+        assert ls.Vplus > 4 * ls.se_Vplus
+
     def test_thread_count_does_not_change_output(self):
         sc = _scenario(covariates=CovariateModel.copula_t4(6, 3, 0.5), reps=50)
         a = estimate_decomposition(sc, SmootherSpec.least_squares(), threads=1)
