@@ -17,7 +17,6 @@ from .criteria import (
     optr_asymptotic,
     rcp,
     rcp_hat,
-    rcp_plus,
     rcp_plus_from_ocv,
     vplus_asymptotic,
     vplus_normal_exact,
@@ -53,20 +52,17 @@ from .experiments import (
     run_decomposition_study,
     run_ridge_ratio_study,
 )
-from .linalg import EigenDecomposition, hat_diagonal, solve_spd, symmetric_eigen
 from .smoothers import FittedSmoother, SmootherSpec, fit, neighbor_sets, predict
 
 __all__ = [
     "__version__",
-    # linalg
-    "EigenDecomposition", "solve_spd", "hat_diagonal", "symmetric_eigen",
     # datagen
     "CovariateModel", "MeanModel", "NoiseModel", "TrainingSet",
     "draw_covariates", "draw_response", "draw_training_set", "quantile_t", "stream",
     # smoothers
     "SmootherSpec", "FittedSmoother", "fit", "predict", "neighbor_sets",
     # criteria
-    "cp", "rcp", "rcp_hat", "gcv", "ocv", "bplus_hat", "rcp_plus",
+    "cp", "rcp", "rcp_hat", "gcv", "ocv", "bplus_hat",
     "rcp_plus_from_ocv", "vplus_normal_exact", "vplus_asymptotic",
     "optr_asymptotic", "CriteriaReport",
     "criteria_report",

@@ -4,7 +4,8 @@ All criteria estimate the expected squared prediction error of a fitted
 smoother at a *fresh covariate draw* (Random-X error), from in-sample
 quantities only:
 
-``cp``        RSS/n + 2 sigma^2 p / n — the classical fixed-covariate penalty.
+``cp``        RSS/n + 2 sigma^2 df / n, df = p (least squares) or tr(S)
+              (ridge) — the classical fixed-covariate penalty.
 ``rcp``       cp plus the exact excess variance a least squares fit pays for
               random normal covariates, ``vplus_normal_exact``.
 ``rcp_hat``   the sigma-free version: RSS (n-1) / ((n-p)(n-p-1)); identical to
@@ -14,7 +15,8 @@ quantities only:
               r_i / (1 - h_ii); exact for least squares and ridge.
 ``bplus_hat`` an unbiased-in-spirit estimate of the excess bias term built
               from the same deleted residuals.
-``rcp_plus``  rcp + bplus_hat, covering mean functions the model misses.
+``rcp_plus``  rcp + bplus_hat (a `CriteriaReport` field), covering mean
+              functions the model misses.
 
 Scalar inputs are RSS, the sample size n, the regression dimension p, and
 (where needed) the noise variance sigma2; vector inputs are the in-sample
@@ -37,7 +39,6 @@ __all__ = [
     "gcv",
     "ocv",
     "bplus_hat",
-    "rcp_plus",
     "rcp_plus_from_ocv",
     "vplus_normal_exact",
     "vplus_asymptotic",
@@ -77,8 +78,8 @@ def _check_resid(residuals, hat_diag) -> tuple[np.ndarray, np.ndarray]:
 # scalar criteria
 # --------------------------------------------------------------------------
 
-def cp(rss: float, n: int, p: int, sigma2: float) -> float:
-    """RSS/n plus the fixed-covariate optimism 2 sigma^2 p / n."""
+def cp(rss: float, n: int, p: float, sigma2: float) -> float:
+    """RSS/n plus the fixed-covariate optimism 2 sigma^2 p / n; ``p`` may be a smoother's tr(S)."""
     _check_scalars(rss, n, p, sigma2)
     return rss / n + 2.0 * sigma2 * p / n
 
@@ -156,13 +157,6 @@ def bplus_hat(residuals, hat_diag, sigma2: float) -> float:
     return float(np.mean((r**2 - one_minus * sigma2) * (1.0 / one_minus**2 - 1.0)))
 
 
-def rcp_plus(rcp_value: float, bplus_value: float) -> float:
-    """rcp corrected for estimated excess bias: ``rcp + bplus_hat``."""
-    if not (np.isfinite(rcp_value) and np.isfinite(bplus_value)):
-        raise ValueError("inputs must be finite")
-    return rcp_value + bplus_value
-
-
 def rcp_plus_from_ocv(ocv_value: float, hat_diag, n: int, p: int, sigma2: float) -> float:
     """rcp_plus rewritten around OCV (an algebraic identity, not a new method).
 
@@ -231,11 +225,12 @@ class CriteriaReport:
 def criteria_report(fitted: FittedSmoother, sigma2: float | None = None) -> CriteriaReport:
     """Compute all criteria for a fitted least squares or ridge smoother.
 
-    Uses the fit's stored residuals and hat diagonal.  ``sigma2_hat`` and
-    ``gcv`` use the degrees of freedom tr(S): p for least squares, the
-    fit's ``trace_S`` for ridge.  ``rcp_hat``, ``cp``, ``rcp`` and
-    ``rcp_plus`` use p = number of design columns; for ridge they are the
-    least squares formulas.  Requires n > p + 1.
+    Uses the fit's stored residuals and hat diagonal.  ``sigma2_hat``,
+    ``gcv`` and ``cp`` use the degrees of freedom tr(S): p for least
+    squares, the fit's ``trace_S`` for ridge.  ``rcp`` adds the least
+    squares excess variance ``vplus_normal_exact(n, p, sigma2)`` to ``cp``
+    and ``rcp_hat`` is the least squares formula, both with p = number of
+    design columns.  Requires n > p + 1.
     """
     n, p = fitted.n, fitted.p
     df = fitted.trace_S if fitted.spec.variant == "ridge" else p
@@ -252,7 +247,7 @@ def criteria_report(fitted: FittedSmoother, sigma2: float | None = None) -> Crit
         ocv=ocv(r, fitted.hat_diag),
     )
     if sigma2 is not None:
-        cp_v = cp(rss, n, p, sigma2)
+        cp_v = cp(rss, n, df, sigma2)
         rcp_v = cp_v + vplus_normal_exact(n, p, sigma2)
         b_v = bplus_hat(r, fitted.hat_diag, sigma2)
         kwargs.update(cp=cp_v, rcp=rcp_v, bplus_hat=b_v, rcp_plus=rcp_v + b_v)

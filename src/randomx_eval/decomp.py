@@ -9,9 +9,14 @@ where ``B`` and ``V`` are the bias and variance terms already present when
 test covariates coincide with the training rows (Same-X), and ``Bplus`` /
 ``Vplus`` are the excesses paid because they do not.  The estimators here are
 Rao-Blackwellized: per replicate only covariates are drawn, and the four
-conditional moments given (X, X0) are computed in closed form — no response
-noise is simulated, which removes the dominant Monte Carlo variance
-component.
+conditional moments given (X, X0) are computed exactly — no response noise
+is simulated, which removes the dominant Monte Carlo variance component.
+
+Every smoother predicts L(X0) Y (see `smoothers`), so given X the mean of
+the prediction is L(X0) f and its variance at a row x0 is sigma^2 |L(x0)|^2.
+The moments are therefore generic in L: the squared bias mean((L f - f)^2)
+and the variance sigma^2 ||L||_F^2 / rows, at X (Same-X) and at X0
+(Random-X), all read from the one smoother operator.
 
 Excess terms are averaged as per-replicate *paired* differences (Random-X
 moment minus Same-X moment on the same draw), which is what their standard
@@ -24,30 +29,22 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from ._pool import run_replicates
+from .criteria import LEVERAGE_TOL
 from .datagen import TEST, TRAIN, CovariateModel, draw_covariates, stream
-from .errors import LeverageOne, NotPositiveDefinite, RankDeficient
-from .linalg import _cholesky_spd
-from .smoothers import (
-    SmootherSpec,
-    _kernel_ridge_gram,
-    _linear_fit,
-    gaussian_bandwidth,  # noqa: F401  (unused; perfbench/tracer.py wraps it here)
-    kernel_matrix,
-    neighbor_sets,
-)
+from .errors import LeverageOne, RankDeficient
+from .smoothers import SmootherSpec, _factorize
+
+# Unused here, but perfbench/tracer.py wraps these names as bound in this module.
+from .linalg import _cholesky_spd  # noqa: F401
+from .smoothers import gaussian_bandwidth, kernel_matrix, neighbor_sets  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
     from .experiments import ScenarioConfig
 
 __all__ = [
     "ConditionalMoments",
-    "conditional_moments_ls",
-    "conditional_moments_ridge",
-    "conditional_moments_knn",
-    "conditional_moments_kernel_ridge",
     "conditional_moments",
     "DecompositionEstimate",
     "estimate_decomposition",
@@ -71,120 +68,22 @@ class ConditionalMoments(NamedTuple):
     var_r: float
 
 
-def _check_inputs(X, X0, fX, fX0):
-    X = np.asarray(X, dtype=float)
-    X0 = np.asarray(X0, dtype=float)
-    fX = np.asarray(fX, dtype=float)
-    fX0 = np.asarray(fX0, dtype=float)
-    if X.ndim != 2 or X0.ndim != 2 or X.shape[1] != X0.shape[1]:
-        raise ValueError("X and X0 must be 2-D with the same column count")
-    if fX.shape != (X.shape[0],) or fX0.shape != (X0.shape[0],):
-        raise ValueError("fX / fX0 must match the rows of X / X0")
-    return X, X0, fX, fX0
-
-
-def conditional_moments_ls(X, X0, fX, fX0, sigma2: float) -> ConditionalMoments:
-    """Closed-form conditional moments for least squares.
-
-    Given the draw: the Same-X variance is exactly ``sigma2 p / n``; the
-    Random-X variance is ``(sigma2 / m) tr((X'X)^{-1} X0'X0)``; the bias
-    terms project f onto the column span of X.
-    """
-    X, X0, fX, fX0 = _check_inputs(X, X0, fX, fX0)
-    n, p = X.shape
-    m = X0.shape[0]
-    try:
-        factor = _cholesky_spd(X.T @ X)
-    except NotPositiveDefinite as exc:
-        raise RankDeficient(f"rank(X) < p for n={n}, p={p}") from exc
-    beta_n = scipy.linalg.cho_solve(factor, X.T @ fX, check_finite=False)
-    bias_s = float(np.mean((X @ beta_n - fX) ** 2))
-    bias_r = float(np.mean((X0 @ beta_n - fX0) ** 2))
-    W = scipy.linalg.cho_solve(factor, X0.T, check_finite=False)
-    var_r = sigma2 / m * float(np.einsum("ij,ji->", X0, W))
-    return ConditionalMoments(bias_s, sigma2 * p / n, bias_r, var_r)
-
-
-def conditional_moments_ridge(X, X0, fX, fX0, sigma2: float, lam: float) -> ConditionalMoments:
-    """Closed-form conditional moments for ridge with penalty ``lam``.
-
-    Reduces to the least squares moments at ``lam = 0`` (full-rank X).
-    """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if lam == 0.0:
-        return conditional_moments_ls(X, X0, fX, fX0, sigma2)
-    X, X0, fX, fX0 = _check_inputs(X, X0, fX, fX0)
-    n, p = X.shape
-    m = X0.shape[0]
-    G = X.T @ X
-    factor = _cholesky_spd(G + lam * np.eye(p))
-    beta_n = scipy.linalg.cho_solve(factor, X.T @ fX, check_finite=False)
-    bias_s = float(np.mean((X @ beta_n - fX) ** 2))
-    bias_r = float(np.mean((X0 @ beta_n - fX0) ** 2))
-    # M = A^{-1} G; tr(G A^{-1} G A^{-1}) = tr(M M); N = A^{-1} G A^{-1}
-    M = scipy.linalg.cho_solve(factor, G, check_finite=False)
-    var_s = sigma2 / n * float(np.einsum("ij,ji->", M, M))
-    N = scipy.linalg.cho_solve(factor, M.T, check_finite=False)
-    var_r = sigma2 / m * float(np.einsum("ij,jk,ik->", X0, N, X0))
-    return ConditionalMoments(bias_s, var_s, bias_r, var_r)
-
-
-def conditional_moments_knn(X, X0, fX, fX0, sigma2: float, k: int) -> ConditionalMoments:
-    """Conditional moments for kNN.
-
-    The variance of a k-point average of independent noise is ``sigma2 / k``
-    at training rows and test rows alike, so the excess variance of kNN is
-    identically zero; only the bias terms depend on the draw.
-    """
-    X, X0, fX, fX0 = _check_inputs(X, X0, fX, fX0)
-    nb_s = neighbor_sets(X, X, k)
-    bias_s = float(np.mean((fX[nb_s].mean(axis=1) - fX) ** 2))
-    nb_r = neighbor_sets(X, X0, k)
-    bias_r = float(np.mean((fX[nb_r].mean(axis=1) - fX0) ** 2))
-    var = sigma2 / k
-    return ConditionalMoments(bias_s, var, bias_r, var)
-
-
-def conditional_moments_kernel_ridge(
-    X,
-    X0,
-    fX,
-    fX0,
-    sigma2: float,
-    lam: float,
-    kernel: str = "gaussian",
-    bandwidth: float | None = None,
-) -> ConditionalMoments:
-    """Conditional moments for kernel ridge (bandwidth resolved from X)."""
-    if lam <= 0:
-        raise ValueError("kernel ridge requires lam > 0")
-    X, X0, fX, fX0 = _check_inputs(X, X0, fX, fX0)
-    n = X.shape[0]
-    m = X0.shape[0]
-    bandwidth, K, factor, S = _kernel_ridge_gram(X, lam, kernel, bandwidth)
-    w = scipy.linalg.cho_solve(factor, fX, check_finite=False)
-    bias_s = float(np.mean((K @ w - fX) ** 2))
-    var_s = sigma2 / n * float(np.sum(S * S))
-    K0 = kernel_matrix(X0, X, kernel, bandwidth)
-    bias_r = float(np.mean((K0 @ w - fX0) ** 2))
-    M0 = scipy.linalg.cho_solve(factor, K0.T, check_finite=False)
-    var_r = sigma2 / m * float(np.sum(M0 * M0))
-    return ConditionalMoments(bias_s, var_s, bias_r, var_r)
-
-
 def conditional_moments(
     smoother: SmootherSpec, X, X0, fX, fX0, sigma2: float
 ) -> ConditionalMoments:
-    """Dispatch to the closed-form moments for the given smoother spec."""
-    if smoother.variant == "least_squares":
-        return conditional_moments_ls(X, X0, fX, fX0, sigma2)
-    if smoother.variant == "ridge":
-        return conditional_moments_ridge(X, X0, fX, fX0, sigma2, smoother.lam)
-    if smoother.variant == "knn":
-        return conditional_moments_knn(X, X0, fX, fX0, sigma2, smoother.k)
-    return conditional_moments_kernel_ridge(
-        X, X0, fX, fX0, sigma2, smoother.lam, smoother.kernel, smoother.bandwidth
+    """Exact moments of the smoother's error given the draw (X, X0).
+
+    The squared biases are mean((L f - f)^2) and the variances
+    sigma2 ||L||_F^2 / rows, at X and at X0.  For least squares the Same-X
+    variance is exactly ``sigma2 p / n``; for kNN both variances are exactly
+    ``sigma2 / k``, so its excess variance is identically zero.
+    """
+    op = _factorize(smoother, X)
+    c = op.solve(fX)
+    fit_s, var_s = op.apply(c, None, sigma2)
+    fit_r, var_r = op.apply(c, X0, sigma2)
+    return ConditionalMoments(
+        float(np.mean((fit_s - fX) ** 2)), var_s, float(np.mean((fit_r - fX0) ** 2)), var_r
     )
 
 
@@ -300,20 +199,6 @@ class OcvConditionalDecomp:
         return self.v_of_X + self.b_of_X
 
 
-def _smoothed_mean_and_hat(X: np.ndarray, fX: np.ndarray, smoother: SmootherSpec):
-    """E[fhat(X) | X] (= S(X) f(X)) and the hat diagonal, without drawing Y."""
-    if smoother.variant in ("least_squares", "ridge"):
-        _, smoothed, h = _linear_fit(X, fX, smoother.lam)
-        return smoothed, h
-    if smoother.variant == "kernel_ridge":
-        _, K, factor, S = _kernel_ridge_gram(X, smoother.lam, smoother.kernel, smoother.bandwidth)
-        smoothed = K @ scipy.linalg.cho_solve(factor, fX, check_finite=False)
-        return smoothed, np.clip(np.diag(S), 0.0, None)
-    # knn
-    nb = neighbor_sets(X, X, smoother.k)
-    return fX[nb].mean(axis=1), np.full(len(X), 1.0 / smoother.k)
-
-
 def ocv_conditional(X, fX, smoother: SmootherSpec, sigma2: float) -> OcvConditionalDecomp:
     """Split E[OCV | X] into its variance and bias components for one X."""
     X = np.asarray(X, dtype=float)
@@ -322,8 +207,10 @@ def ocv_conditional(X, fX, smoother: SmootherSpec, sigma2: float) -> OcvConditio
         raise ValueError("need X (n, p) and fX (n,)")
     if not (np.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError("sigma2 must be finite and >= 0")
-    smoothed, h = _smoothed_mean_and_hat(X, fX, smoother)
-    if np.any(h >= 1.0 - 1e-12):
+    op = _factorize(smoother, X)
+    smoothed = op.apply(op.solve(fX))[0]
+    h = op.hat_diag()
+    if np.any(h >= 1.0 - LEVERAGE_TOL):
         raise LeverageOne("a leverage is numerically 1")
     n = X.shape[0]
     v = sigma2 / n * float(np.sum(1.0 / (1.0 - h)))

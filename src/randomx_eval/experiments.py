@@ -50,7 +50,6 @@ from .datagen import (
     stream,
 )
 from .decomp import DecompositionEstimate, estimate_decomposition
-from .linalg import symmetric_eigen
 from .smoothers import FittedSmoother, SmootherSpec, fit, predict
 
 __all__ = [
@@ -309,9 +308,8 @@ def run_ridge_ratio_study(
     def one_rep(r: int) -> np.ndarray:
         X = draw_covariates(model, n, stream(seed, r, TRAIN))
         X0 = draw_covariates(model, n, stream(seed, r, TEST))
-        eig = symmetric_eigen(X.T @ X)
-        d = eig.eigenvalues
-        U = eig.eigenvectors
+        w, v = np.linalg.eigh(X.T @ X)
+        d, U = w[::-1], v[:, ::-1]  # descending
         G0 = X0.T @ X0
         g = np.einsum("ij,ij->j", U, G0 @ U)  # diag(U' G0 U)
         shrink = 1.0 / (d[None, :] + lambdas[:, None]) ** 2

@@ -1,49 +1,27 @@
-"""Dense linear algebra helpers used by the smoothers and the Monte Carlo code.
+"""The one Cholesky factorization every smoother's operator is built on.
 
-Everything here operates on plain float64 numpy arrays.  Symmetric positive
-definite systems are solved through a Cholesky factorization of the (possibly
-ridge-shifted) Gram matrix; rank deficiency is flagged by a pivot threshold
-relative to the largest diagonal entry rather than by LAPACK's hard failure
-alone, so nearly-singular designs fail loudly instead of returning garbage.
+`smoothers._factorize` factors the (possibly ridge-shifted) Gram matrix
+X'X + lam I, or the kernel system K + lam I, through `_cholesky_spd` once per
+training design.  Rank deficiency is flagged by a pivot threshold relative to
+the largest diagonal entry rather than by LAPACK's hard failure alone, so
+nearly-singular designs fail loudly instead of returning garbage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergence, NotPositiveDefinite, RankDeficient
-
-__all__ = [
-    "EigenDecomposition",
-    "solve_spd",
-    "hat_diagonal",
-    "symmetric_eigen",
-]
+from .errors import NotPositiveDefinite
 
 #: Relative pivot threshold below which a Cholesky factor counts as singular.
 PIVOT_RTOL = 1e-10
 
-#: Relative asymmetry tolerated before an input is rejected as non-symmetric.
-SYMMETRY_RTOL = 1e-10
-
-
-def _check_symmetric(A: np.ndarray, name: str = "A") -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError(f"{name} has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(A)))) if A.size else 1.0
-    if A.size and float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale:
-        raise ValueError(f"{name} is not symmetric")
-    return A
-
 
 def _cholesky_spd(A: np.ndarray):
     """Lower Cholesky factor of a symmetric matrix, with pivot screening.
+
+    Returns the ``(c, lower)`` pair that `scipy.linalg.cho_solve` takes.
 
     Raises
     ------
@@ -62,115 +40,3 @@ def _cholesky_spd(A: np.ndarray):
             f"Cholesky pivot {pivots.min():.3e} at or below threshold {tol:.3e}"
         )
     return c, low
-
-
-def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` for symmetric positive definite ``A`` via Cholesky.
-
-    Parameters
-    ----------
-    A : (p, p) array
-        Symmetric positive definite matrix (symmetry checked to 1e-10,
-        relative to the largest entry).
-    b : (p,) or (p, k) array
-        Right-hand side(s).
-
-    Returns
-    -------
-    x : array with the shape of ``b``
-        Solution with small residual: ``||Ax - b|| <= 1e-8 ||b||`` for
-        well-conditioned inputs.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If a factorization pivot is at or below the relative threshold
-        (this is also how rank deficiency of a Gram matrix surfaces).
-    """
-    A = _check_symmetric(A)
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != A.shape[0]:
-        raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    factor = _cholesky_spd(A)
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
-
-
-def hat_diagonal(X: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Diagonal of the hat matrix ``X (X'X + ridge I)^{-1} X'``.
-
-    Parameters
-    ----------
-    X : (n, p) array
-        Design matrix.
-    ridge : float, optional
-        Nonnegative ridge shift added to the Gram matrix.
-
-    Returns
-    -------
-    h : (n,) array
-        Leverage of every row; each entry lies in [0, 1] and for
-        ``ridge = 0`` the entries sum to p.
-
-    Raises
-    ------
-    RankDeficient
-        If ``ridge = 0`` and ``rank(X) < p``.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    n, p = X.shape
-    G = X.T @ X
-    if ridge:
-        G = G + ridge * np.eye(p)
-    try:
-        factor = _cholesky_spd(G)
-    except NotPositiveDefinite as exc:
-        if ridge == 0.0:
-            raise RankDeficient(f"rank(X) < p for n={n}, p={p}") from exc
-        raise
-    W = scipy.linalg.cho_solve(factor, X.T, check_finite=False)
-    h = np.einsum("ij,ji->i", X, W)
-    # Clip the tiny negative round-off a near-zero leverage can produce.
-    return np.clip(h, 0.0, None)
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenpairs of a symmetric matrix, eigenvalues in descending order.
-
-    ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``; the columns are
-    orthonormal to 1e-8.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def symmetric_eigen(A: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
-
-    Parameters
-    ----------
-    A : (p, p) array
-        Symmetric matrix (checked to the same tolerance as `solve_spd`).
-
-    Returns
-    -------
-    EigenDecomposition
-        Eigenvalues sorted descending with matching orthonormal columns.
-
-    Raises
-    ------
-    NoConvergence
-        If the underlying iteration fails to converge.
-    """
-    A = _check_symmetric(A)
-    try:
-        w, v = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    order = np.argsort(w)[::-1]
-    return EigenDecomposition(eigenvalues=w[order], eigenvectors=v[:, order])

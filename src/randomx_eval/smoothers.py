@@ -1,9 +1,23 @@
 """Linear smoothers: least squares, ridge, Gaussian kernel ridge, and kNN.
 
-Every smoother here is linear in the response vector, so a fit carries its
-in-sample hat diagonal (the smoother matrix diagonal) and trace alongside the
-fitted values.  Those two quantities feed the leave-one-out shortcut and the
-covariance-penalty criteria.
+Every smoother here is linear in the response: its prediction at query rows
+X0 is L(X0) Y, for a weight matrix L that depends only on the training rows
+X and on X0.  `_factorize(spec, X)` does the one costly step per training
+design — the Cholesky factor of A = X'X + lam I (least squares, ridge) or
+of A = K + lam I (kernel ridge), or the in-sample neighbor search (kNN) —
+and returns the operator that everything else is read from:
+
+``solve(y)``                weights c of y: A^-1 X'y, A^-1 y, or y itself (kNN);
+``apply(c, X0, sigma2)``    L(X0) y = X0 c, k(X0, X) c, or the mean of c over
+                            each query row's k neighbors; given ``sigma2``
+                            also the mean noise variance sigma2 ||L(X0)||_F^2 / m;
+``hat_diag()``              the diagonal of L(X).
+
+`fit` and `predict` here, and the conditional moments and the conditional
+OCV split in `decomp`, are all derived from it.  Two variances are exact
+closed forms: sigma2 p / n for least squares at X (L(X) projects onto the
+p columns of X) and sigma2 / k for kNN at any rows (each row of L holds k
+weights 1/k).  Ridge at lam = 0 takes the least squares path.
 
 kNN conventions: Euclidean distance, distance ties broken by lowest training
 index, and each training point counts as its own nearest neighbor in-sample,
@@ -147,22 +161,103 @@ def _as_xy(X, Y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _linear_fit(X: np.ndarray, Y: np.ndarray, lam: float):
-    """Shared least squares / ridge path; factors the Gram matrix once."""
+@dataclass(frozen=True)
+class _Operator:
+    """The weight matrix L(.) of one smoother on one training design X.
+
+    ``factor`` is the Cholesky factor of A; ``K`` is the training kernel and
+    ``bandwidth`` its resolved bandwidth (kernel ridge); ``nbrs`` holds the
+    in-sample neighbor sets (kNN).  Evaluating L(X0) y at new rows needs
+    only ``spec``, ``X`` and ``bandwidth``.
+    """
+
+    spec: SmootherSpec
+    X: np.ndarray
+    factor: tuple | None = None
+    K: np.ndarray | None = None
+    bandwidth: float | None = None
+    nbrs: np.ndarray | None = None
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """The weights c of y, for ``apply``."""
+        if self.spec.variant == "knn":
+            return y
+        rhs = y if self.spec.variant == "kernel_ridge" else self.X.T @ y
+        return scipy.linalg.cho_solve(self.factor, rhs, check_finite=False)
+
+    def apply(self, c: np.ndarray, X0: np.ndarray | None = None, sigma2: float | None = None):
+        """``(L(X0) y, sigma2 ||L(X0)||_F^2 / m)`` for c = solve(y); X0 ``None`` means X.
+
+        The variance is ``None`` unless ``sigma2`` is given.
+        """
+        spec, X = self.spec, self.X
+        if spec.variant == "knn":
+            nb = self.nbrs if X0 is None else neighbor_sets(X, X0, spec.k)
+            return c[nb].mean(axis=1), None if sigma2 is None else sigma2 / spec.k
+        kernel = spec.variant == "kernel_ridge"
+        if kernel:
+            B = self.K if X0 is None else kernel_matrix(X0, X, spec.kernel, self.bandwidth)
+        else:
+            B = X if X0 is None else X0
+        out = B @ c
+        if sigma2 is None:
+            return out, None
+        n, p = X.shape
+        if not kernel and spec.lam == 0.0 and X0 is None:
+            return out, sigma2 * p / n
+        W = scipy.linalg.cho_solve(self.factor, B.T, check_finite=False)  # A^-1 B'
+        if kernel:
+            sq = np.sum(W * W)  # L(X0)' = W
+        elif spec.lam == 0.0:
+            sq = np.einsum("ij,ji->", B, W)  # L(X0) L(X0)' = X0 A^-1 X0'
+        else:
+            XW = X @ W  # L(X0)' = X W
+            sq = np.sum(XW * XW)
+        return out, sigma2 / len(B) * float(sq)
+
+    def hat_diag(self) -> np.ndarray:
+        """The diagonal of L(X), with the round-off below 0 clipped."""
+        if self.spec.variant == "knn":
+            return np.full(len(self.X), 1.0 / self.spec.k)
+        if self.spec.variant == "kernel_ridge":
+            h = np.diag(scipy.linalg.cho_solve(self.factor, self.K, check_finite=False))
+        else:
+            W = scipy.linalg.cho_solve(self.factor, self.X.T, check_finite=False)
+            h = np.einsum("ij,ji->i", self.X, W)
+        return np.clip(h, 0.0, None)
+
+
+def _factorize(spec: SmootherSpec, X: np.ndarray) -> _Operator:
+    """The smoother of ``spec`` on X: one Cholesky factorization or one neighbor search.
+
+    Raises
+    ------
+    RankDeficient
+        Least squares (or ridge at lam = 0) on a design with rank(X) < p.
+    DegenerateNeighbors
+        kNN with k > n.
+    """
     n, p = X.shape
+    if spec.variant == "knn":
+        return _Operator(spec, X, nbrs=neighbor_sets(X, X, spec.k))
+    if spec.variant == "kernel_ridge":
+        # one n x n distance matrix gives both the median bandwidth and K
+        d2 = _sq_distances(X, X) if spec.kernel == "gaussian" else None
+        bandwidth = spec.bandwidth
+        if d2 is not None and bandwidth is None:
+            bandwidth = gaussian_bandwidth(X, d2)
+        K = kernel_matrix(X, X, spec.kernel, bandwidth, d2)
+        return _Operator(spec, X, _cholesky_spd(K + spec.lam * np.eye(n)), K, bandwidth)
     G = X.T @ X
-    if lam:
-        G = G + lam * np.eye(p)
+    if spec.lam:
+        G = G + spec.lam * np.eye(p)
     try:
         factor = _cholesky_spd(G)
     except NotPositiveDefinite as exc:
-        if lam == 0.0:
+        if spec.lam == 0.0:
             raise RankDeficient(f"rank(X) < p for n={n}, p={p}") from exc
         raise
-    beta = scipy.linalg.cho_solve(factor, X.T @ Y, check_finite=False)
-    W = scipy.linalg.cho_solve(factor, X.T, check_finite=False)
-    h = np.clip(np.einsum("ij,ji->i", X, W), 0.0, None)
-    return beta, X @ beta, h
+    return _Operator(spec, X, factor)
 
 
 def fit(spec: SmootherSpec, X, Y=None) -> FittedSmoother:
@@ -185,34 +280,18 @@ def fit(spec: SmootherSpec, X, Y=None) -> FittedSmoother:
         kNN with k > n.
     """
     X, Y = _as_xy(X, Y)
-    n = X.shape[0]
-    bandwidth = None
-
-    if spec.variant in ("least_squares", "ridge"):
-        beta, fitted, h = _linear_fit(X, Y, spec.lam)
-        coef = beta
-    elif spec.variant == "kernel_ridge":
-        bandwidth, K, factor, S = _kernel_ridge_gram(X, spec.lam, spec.kernel, spec.bandwidth)
-        coef = scipy.linalg.cho_solve(factor, Y, check_finite=False)
-        fitted = K @ coef
-        h = np.clip(np.diag(S), 0.0, None)
-    else:  # knn
-        if spec.k > n:
-            raise DegenerateNeighbors(f"k={spec.k} exceeds n={n}")
-        nbrs = neighbor_sets(X, X, spec.k)
-        coef = None
-        fitted = Y[nbrs].mean(axis=1)
-        h = np.full(n, 1.0 / spec.k)
-
+    op = _factorize(spec, X)
+    c = op.solve(Y)
+    h = op.hat_diag()
     return FittedSmoother(
         spec=spec,
         train_X=X,
         train_Y=Y,
-        coefficients=coef,
-        fitted=fitted,
+        coefficients=None if spec.variant == "knn" else c,
+        fitted=op.apply(c)[0],
         hat_diag=h,
         trace_S=float(h.sum()),
-        bandwidth=bandwidth,
+        bandwidth=op.bandwidth,
     )
 
 
@@ -223,14 +302,8 @@ def predict(model: FittedSmoother, X0: np.ndarray) -> np.ndarray:
         raise ValueError(f"X0 must be (m, {model.p})")
     if not np.all(np.isfinite(X0)):
         raise ValueError("X0 must be finite")
-    spec = model.spec
-    if spec.variant in ("least_squares", "ridge"):
-        return X0 @ model.coefficients
-    if spec.variant == "kernel_ridge":
-        K0 = kernel_matrix(X0, model.train_X, spec.kernel, model.bandwidth)
-        return K0 @ model.coefficients
-    nbrs = neighbor_sets(model.train_X, X0, spec.k)
-    return model.train_Y[nbrs].mean(axis=1)
+    c = model.train_Y if model.coefficients is None else model.coefficients
+    return _Operator(model.spec, model.train_X, bandwidth=model.bandwidth).apply(c, X0)[0]
 
 
 # --------------------------------------------------------------------------
@@ -341,15 +414,3 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: str, bandwidth: float | 
         d2 = _sq_distances(A, B)
     return np.exp(-d2 / (2.0 * bandwidth**2))
 
-
-def _kernel_ridge_gram(X: np.ndarray, lam: float, kernel: str, bandwidth: float | None):
-    """Bandwidth, K, Cholesky factor of K + lam I, and S = (K + lam I)^{-1} K, from X.
-
-    One n x n distance matrix gives both the median bandwidth and K.
-    """
-    d2 = _sq_distances(X, X) if kernel == "gaussian" else None
-    if d2 is not None and bandwidth is None:
-        bandwidth = gaussian_bandwidth(X, d2)
-    K = kernel_matrix(X, X, kernel, bandwidth, d2)
-    factor = _cholesky_spd(K + lam * np.eye(X.shape[0]))
-    return bandwidth, K, factor, scipy.linalg.cho_solve(factor, K, check_finite=False)

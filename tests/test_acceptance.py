@@ -17,7 +17,6 @@ from randomx_eval.criteria import (
     ocv,
     rcp,
     rcp_hat,
-    rcp_plus,
     rcp_plus_from_ocv,
     vplus_asymptotic,
     vplus_normal_exact,
@@ -33,13 +32,7 @@ from randomx_eval.datagen import (
     draw_response,
     stream,
 )
-from randomx_eval.decomp import (
-    conditional_moments_kernel_ridge,
-    conditional_moments_knn,
-    conditional_moments_ls,
-    conditional_moments_ridge,
-    estimate_decomposition,
-)
+from randomx_eval.decomp import conditional_moments, estimate_decomposition
 from randomx_eval.experiments import ScenarioConfig, run_criteria_study, run_ridge_ratio_study
 from randomx_eval.smoothers import SmootherSpec, fit
 
@@ -190,7 +183,7 @@ def test_criterion_06_rcp_plus_ocv_identity():
         Y = np.abs(X).sum(axis=1) + np.sqrt(sigma2) * rng.standard_normal(n)
         model = fit(SmootherSpec.least_squares(), X, Y)
         rss = float(model.residuals @ model.residuals)
-        direct = rcp_plus(rcp(rss, n, p, sigma2), bplus_hat(model.residuals, model.hat_diag, sigma2))
+        direct = rcp(rss, n, p, sigma2) + bplus_hat(model.residuals, model.hat_diag, sigma2)
         via_ocv = rcp_plus_from_ocv(ocv(model.residuals, model.hat_diag), model.hat_diag, n, p, sigma2)
         worst = max(worst, abs(direct - via_ocv) / abs(direct))
     check(6, "additive and leave-one-out forms of RCp+ agree", worst <= 1e-8,
@@ -300,10 +293,10 @@ def test_criterion_11_knn_zero_excess_variance_and_bias_factor():
     for r in range(reps):
         X = draw_covariates(cov, n, stream(seed, r, TRAIN))
         X0 = draw_covariates(cov, n, stream(seed, r, TEST))
-        lhs = conditional_moments_knn(
-            X, X0, mean.evaluate(X), mean.evaluate(X0), 1.0, k).bias_s
-        rhs = conditional_moments_knn(
-            X[1:], X0, mean.evaluate(X[1:]), mean.evaluate(X0), 1.0, k - 1).bias_r
+        lhs = conditional_moments(
+            SmootherSpec.knn(k), X, X0, mean.evaluate(X), mean.evaluate(X0), 1.0).bias_s
+        rhs = conditional_moments(
+            SmootherSpec.knn(k - 1), X[1:], X0, mean.evaluate(X[1:]), mean.evaluate(X0), 1.0).bias_r
         d[r] = lhs - (1.0 - 1.0 / k) ** 2 * rhs
     se = d.std(ddof=1) / np.sqrt(reps)
     ok_factor = abs(d.mean()) <= 2 * se
@@ -371,11 +364,13 @@ def test_criterion_13_conditional_moments_match_noisy_simulation():
             W0k[j, i] = 1.0 / k
 
     cases = [
-        ("ls", conditional_moments_ls(X, X0, fX, fX0, sigma**2), X @ P, X0 @ P),
-        ("ridge", conditional_moments_ridge(X, X0, fX, fX0, sigma**2, lam), X @ Pr, X0 @ Pr),
-        ("knn", conditional_moments_knn(X, X0, fX, fX0, sigma**2, k), Wk, W0k),
-        ("kernel", conditional_moments_kernel_ridge(X, X0, fX, fX0, sigma**2, 0.5, bandwidth=bw),
-         K @ Ak, K0 @ Ak),
+        ("ls", conditional_moments(SmootherSpec.least_squares(), X, X0, fX, fX0, sigma**2),
+         X @ P, X0 @ P),
+        ("ridge", conditional_moments(SmootherSpec.ridge(lam), X, X0, fX, fX0, sigma**2),
+         X @ Pr, X0 @ Pr),
+        ("knn", conditional_moments(SmootherSpec.knn(k), X, X0, fX, fX0, sigma**2), Wk, W0k),
+        ("kernel", conditional_moments(SmootherSpec.kernel_ridge(0.5, bandwidth=bw),
+                                       X, X0, fX, fX0, sigma**2), K @ Ak, K0 @ Ak),
     ]
     bad = []
     for label, cm, S, S0 in cases:

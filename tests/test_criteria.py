@@ -17,7 +17,6 @@ from randomx_eval.criteria import (
     optr_asymptotic,
     rcp,
     rcp_hat,
-    rcp_plus,
     rcp_plus_from_ocv,
     vplus_asymptotic,
     vplus_normal_exact,
@@ -192,7 +191,7 @@ class TestBplusAndRcpPlus:
             m = fit(SmootherSpec.least_squares(), X, Y)
             r = m.residuals
             rss = float(r @ r)
-            lhs = rcp_plus(rcp(rss, n, p, s2), bplus_hat(r, m.hat_diag, s2))
+            lhs = rcp(rss, n, p, s2) + bplus_hat(r, m.hat_diag, s2)
             rhs = rcp_plus_from_ocv(ocv(r, m.hat_diag), m.hat_diag, n, p, s2)
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -209,6 +208,17 @@ class TestOptimismAndReport:
         assert rep.gcv == pytest.approx(rep.rss / n / (1.0 - tr / n) ** 2, rel=1e-12)
         assert rep.sigma2_hat == pytest.approx(rep.rss / (n - tr), rel=1e-12)
         assert rep.rcp_hat == rcp_hat(rep.rss, n, p)  # the least squares formula
+
+    def test_ridge_cp_uses_trace_of_smoother(self):
+        rng = np.random.default_rng(41)
+        n, p = 100, 50
+        X = rng.standard_normal((n, p))
+        m = fit(SmootherSpec.ridge(100.0), X, X.sum(axis=1) + rng.standard_normal(n))
+        rep = criteria_report(m, sigma2=1.0)
+        assert rep.cp == rep.rss / n + 2.0 * 1.0 * m.trace_S / n
+        # rcp keeps the least squares excess variance on top of cp
+        assert rep.rcp == rep.cp + vplus_normal_exact(n, p, 1.0)
+        assert rep.rcp_plus == rep.rcp + rep.bplus_hat
 
     def test_report_with_and_without_sigma2(self):
         rng = np.random.default_rng(39)

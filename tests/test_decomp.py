@@ -4,27 +4,27 @@ The brute-force oracle estimates every conditional moment by simulating the
 response noise directly: smoother weight matrices are built with plain numpy,
 thousands of noisy responses are pushed through them, and per-point means and
 variances are aggregated exactly as the definitions read.  Squared-bias
-estimates are debiased by the variance of the per-point mean.
+estimates are debiased by the variance of the per-point mean.  A property
+test checks the moments against the definitions on the same explicit weight
+matrices, without noise.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randomx_eval.datagen import CovariateModel, MeanModel, NoiseModel
 from randomx_eval.decomp import (
     ConditionalMoments,
     conditional_moments,
-    conditional_moments_kernel_ridge,
-    conditional_moments_knn,
-    conditional_moments_ls,
-    conditional_moments_ridge,
     eigen_mp_check,
     estimate_decomposition,
     ocv_conditional,
 )
 from randomx_eval.errors import LeverageOne, RankDeficient, ReplicateError
 from randomx_eval.experiments import ScenarioConfig
-from randomx_eval.smoothers import SmootherSpec
+from randomx_eval.smoothers import SmootherSpec, fit, predict
 
 
 # --------------------------------------------------------------------------
@@ -97,7 +97,8 @@ class TestConditionalMomentsAgainstOracle:
         self.fX0 = mean.evaluate(self.X0)
 
     def test_least_squares(self):
-        cm = conditional_moments_ls(self.X, self.X0, self.fX, self.fX0, self.sigma**2)
+        cm = conditional_moments(SmootherSpec.least_squares(), self.X, self.X0, self.fX, self.fX0,
+                                 self.sigma**2)
         S, S0 = _weights_ls(self.X, self.X0)
         est, se = noisy_oracle(S, S0, self.fX, self.fX0, self.sigma, 8000, 51)
         assert_within(cm, est, se)
@@ -105,22 +106,25 @@ class TestConditionalMomentsAgainstOracle:
 
     def test_ridge(self):
         lam = 2.0
-        cm = conditional_moments_ridge(self.X, self.X0, self.fX, self.fX0, self.sigma**2, lam)
+        cm = conditional_moments(SmootherSpec.ridge(lam), self.X, self.X0, self.fX, self.fX0,
+                                 self.sigma**2)
         S, S0 = _weights_ls(self.X, self.X0, lam=lam)
         est, se = noisy_oracle(S, S0, self.fX, self.fX0, self.sigma, 8000, 52)
         assert_within(cm, est, se)
 
     def test_knn(self):
         k = 3
-        cm = conditional_moments_knn(self.X, self.X0, self.fX, self.fX0, self.sigma**2, k)
+        cm = conditional_moments(SmootherSpec.knn(k), self.X, self.X0, self.fX, self.fX0,
+                                 self.sigma**2)
         S, S0 = _weights_knn(self.X, self.X0, k)
         est, se = noisy_oracle(S, S0, self.fX, self.fX0, self.sigma, 8000, 53)
         assert_within(cm, est, se)
 
     def test_kernel_ridge(self):
         lam, bw = 0.7, 0.9
-        cm = conditional_moments_kernel_ridge(
-            self.X, self.X0, self.fX, self.fX0, self.sigma**2, lam, bandwidth=bw
+        cm = conditional_moments(
+            SmootherSpec.kernel_ridge(lam, bandwidth=bw), self.X, self.X0, self.fX, self.fX0,
+            self.sigma**2,
         )
         S, S0 = _weights_kernel(self.X, self.X0, lam, bw)
         est, se = noisy_oracle(S, S0, self.fX, self.fX0, self.sigma, 8000, 54)
@@ -135,14 +139,15 @@ class TestConditionalMomentProperties:
 
     def test_linear_mean_has_zero_bias_under_ls(self):
         f = MeanModel.linear_sum()
-        cm = conditional_moments_ls(self.X, self.X0, f.evaluate(self.X), f.evaluate(self.X0), 1.0)
+        cm = conditional_moments(SmootherSpec.least_squares(), self.X, self.X0, f.evaluate(self.X),
+                                 f.evaluate(self.X0), 1.0)
         assert cm.bias_s <= 1e-18 and cm.bias_r <= 1e-18
 
     def test_ridge_at_zero_matches_ls(self):
         f = MeanModel.abs_sum(1.0)
         fX, fX0 = f.evaluate(self.X), f.evaluate(self.X0)
-        a = conditional_moments_ls(self.X, self.X0, fX, fX0, 2.0)
-        b = conditional_moments_ridge(self.X, self.X0, fX, fX0, 2.0, 0.0)
+        a = conditional_moments(SmootherSpec.least_squares(), self.X, self.X0, fX, fX0, 2.0)
+        b = conditional_moments(SmootherSpec.ridge(0.0), self.X, self.X0, fX, fX0, 2.0)
         assert a == b
 
     def test_ridge_variances_nonincreasing_in_lambda(self):
@@ -150,7 +155,7 @@ class TestConditionalMomentProperties:
         fX, fX0 = f.evaluate(self.X), f.evaluate(self.X0)
         prev = None
         for lam in (0.0, 0.5, 5.0, 50.0, 500.0):
-            cm = conditional_moments_ridge(self.X, self.X0, fX, fX0, 2.0, lam)
+            cm = conditional_moments(SmootherSpec.ridge(lam), self.X, self.X0, fX, fX0, 2.0)
             if prev is not None:
                 assert cm.var_s <= prev.var_s + 1e-12
                 assert cm.var_r <= prev.var_r + 1e-12
@@ -158,24 +163,66 @@ class TestConditionalMomentProperties:
 
     def test_knn_excess_variance_exactly_zero(self):
         f = MeanModel.abs_sum(1.0)
-        cm = conditional_moments_knn(self.X, self.X0, f.evaluate(self.X), f.evaluate(self.X0), 3.0, 5)
+        cm = conditional_moments(SmootherSpec.knn(5), self.X, self.X0, f.evaluate(self.X),
+                                 f.evaluate(self.X0), 3.0)
         assert cm.var_r - cm.var_s == 0.0
         assert cm.var_s == 3.0 / 5
 
     def test_dispatcher_routes(self):
+        # each spec reaches the smoother `fit` builds: the biases are those of fit/predict on f
         f = MeanModel.abs_sum(1.0)
         fX, fX0 = f.evaluate(self.X), f.evaluate(self.X0)
-        assert conditional_moments(SmootherSpec.least_squares(), self.X, self.X0, fX, fX0, 1.0) == \
-            conditional_moments_ls(self.X, self.X0, fX, fX0, 1.0)
-        assert conditional_moments(SmootherSpec.ridge(2.0), self.X, self.X0, fX, fX0, 1.0) == \
-            conditional_moments_ridge(self.X, self.X0, fX, fX0, 1.0, 2.0)
-        assert conditional_moments(SmootherSpec.knn(4), self.X, self.X0, fX, fX0, 1.0) == \
-            conditional_moments_knn(self.X, self.X0, fX, fX0, 1.0, 4)
+        for spec in (SmootherSpec.least_squares(), SmootherSpec.ridge(2.0), SmootherSpec.knn(4),
+                     SmootherSpec.kernel_ridge(0.5)):
+            cm = conditional_moments(spec, self.X, self.X0, fX, fX0, 1.0)
+            m = fit(spec, self.X, fX)
+            assert cm.bias_s == float(np.mean((m.fitted - fX) ** 2)), spec
+            assert cm.bias_r == float(np.mean((predict(m, self.X0) - fX0) ** 2)), spec
 
     def test_rank_deficient_design(self):
         X = np.ones((5, 2))
         with pytest.raises(RankDeficient):
-            conditional_moments_ls(X, X, np.zeros(5), np.zeros(5), 1.0)
+            conditional_moments(SmootherSpec.least_squares(), X, X, np.zeros(5), np.zeros(5), 1.0)
+
+
+@st.composite
+def draws(draw):
+    """Small normal (X, X0), an abs-sum mean at both, and a noise variance."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(p + 3, 14))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X, X0 = rng.standard_normal((n, p)), rng.standard_normal((m, p))
+    mean = MeanModel.abs_sum(1.0)
+    return X, X0, mean.evaluate(X), mean.evaluate(X0), draw(st.sampled_from([0.25, 1.0, 400.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(draws(), st.data())
+def test_moments_equal_definition_from_weight_matrices(sample, data):
+    X, X0, fX, fX0, sigma2 = sample
+    n, m = len(X), len(X0)
+    lam = data.draw(st.sampled_from([0.0, 0.3, 5.0]), label="lam")
+    k = data.draw(st.integers(1, n), label="k")
+    bw = data.draw(st.sampled_from([0.7, 1.5]), label="bw")
+    cases = [
+        (SmootherSpec.least_squares(), _weights_ls(X, X0)),
+        (SmootherSpec.ridge(lam), _weights_ls(X, X0, lam)),
+        (SmootherSpec.knn(k), _weights_knn(X, X0, k)),
+        (SmootherSpec.kernel_ridge(lam + 0.2, bandwidth=bw), _weights_kernel(X, X0, lam + 0.2, bw)),
+    ]
+    for spec, (S, S0) in cases:
+        cm = conditional_moments(spec, X, X0, fX, fX0, sigma2)
+        definition = (
+            np.mean((S @ fX - fX) ** 2), sigma2 * np.sum(S * S) / n,
+            np.mean((S0 @ fX - fX0) ** 2), sigma2 * np.sum(S0 * S0) / m,
+        )
+        np.testing.assert_allclose(cm, definition, rtol=1e-10, atol=1e-14 * np.mean(fX**2),
+                                   err_msg=spec.variant)
+    ls = conditional_moments(SmootherSpec.least_squares(), X, X0, fX, fX0, sigma2)
+    assert conditional_moments(SmootherSpec.ridge(0.0), X, X0, fX, fX0, sigma2) == ls
+    knn = conditional_moments(SmootherSpec.knn(k), X, X0, fX, fX0, sigma2)
+    assert knn.var_r - knn.var_s == 0.0
 
 
 # --------------------------------------------------------------------------

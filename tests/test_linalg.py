@@ -1,10 +1,24 @@
-"""Tests for the dense linear algebra helpers."""
+"""Tests for the pivot-screened Cholesky factor and the hat diagonal built on it."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from randomx_eval.errors import NoConvergence, NotPositiveDefinite, RankDeficient
-from randomx_eval.linalg import EigenDecomposition, hat_diagonal, solve_spd, symmetric_eigen
+from randomx_eval.linalg import _cholesky_spd
+from randomx_eval.smoothers import SmootherSpec, fit
+
+
+def solve_spd(A, b):
+    """Solve A x = b through `_cholesky_spd`, as every smoother does."""
+    return scipy.linalg.cho_solve(_cholesky_spd(np.asarray(A, dtype=float)), b)
+
+
+def hat_diagonal(X, ridge=0.0):
+    """Leverages of least squares, or of ridge with penalty ``ridge``, read from `fit`."""
+    spec = SmootherSpec.ridge(ridge) if ridge else SmootherSpec.least_squares()
+    X = np.asarray(X, dtype=float)
+    return fit(spec, X, np.zeros(len(X))).hat_diag
 
 
 class TestSolveSpd:
@@ -47,13 +61,10 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite):
             solve_spd([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0])
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            solve_spd([[1.0, 0.5], [0.0, 1.0]], [1.0, 1.0])
-
     def test_nonfinite_rejected(self):
+        # non-finite data is rejected where it enters, before any factorization
         with pytest.raises(ValueError):
-            solve_spd([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0])
+            fit(SmootherSpec.least_squares(), [[np.inf], [1.0]], [1.0, 1.0])
 
 
 class TestHatDiagonal:
@@ -99,37 +110,6 @@ class TestHatDiagonal:
     def test_negative_ridge_rejected(self):
         with pytest.raises(ValueError):
             hat_diagonal(np.eye(3), ridge=-1.0)
-
-
-class TestSymmetricEigen:
-    def test_diagonal(self):
-        e = symmetric_eigen(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(e.eigenvalues, [3.0, 1.0])
-
-    def test_exchange_matrix(self):
-        e = symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(e.eigenvalues, [1.0, -1.0], atol=1e-12)
-
-    def test_two_by_two_closed_form(self):
-        e = symmetric_eigen(np.array([[5.0, 7.0], [7.0, 13.0]]))
-        np.testing.assert_allclose(
-            e.eigenvalues, [9.0 + np.sqrt(65.0), 9.0 - np.sqrt(65.0)], rtol=1e-12
-        )
-
-    def test_descending_orthonormal_reconstructs(self):
-        rng = np.random.default_rng(4)
-        M = rng.standard_normal((7, 7))
-        A = (M + M.T) / 2
-        e = symmetric_eigen(A)
-        assert isinstance(e, EigenDecomposition)
-        assert np.all(np.diff(e.eigenvalues) <= 1e-12)
-        V = e.eigenvectors
-        np.testing.assert_allclose(V.T @ V, np.eye(7), atol=1e-8)
-        np.testing.assert_allclose(V @ np.diag(e.eigenvalues) @ V.T, A, atol=1e-8)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_no_convergence_is_runtime_error():
