@@ -12,8 +12,14 @@ Subcommands
 Common flags: ``--config``, ``--out``, ``--seed``, ``--reps``, ``--threads``
 (``RANDOMX_EVAL_THREADS`` is the fallback for ``--threads``).  Output is CSV
 on stdout or at ``--out``; floats are printed with 17 significant digits so
-files are round-trip exact and byte-stable.  With ``--out``, a small JSON run
-manifest is written next to the output.
+files are round-trip exact and byte-stable, and byte-identical across
+``--threads``.  With ``--out``, a small JSON run manifest is written next to
+the output; it records the worker and BLAS thread counts and the Python,
+numpy and scipy versions.
+
+The study subcommands run their replicate loops with BLAS on one thread
+unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; ``eval`` has
+no replicate loop and keeps the libraries' own BLAS threading.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numeric failure.
 """
@@ -26,14 +32,17 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from importlib import resources
 
 import numpy as np
+import scipy
 
 from . import __version__
+from ._pool import blas_threads
 from .criteria import criteria_report
 from .datagen import CovariateModel, MeanModel, NoiseModel
 from .errors import (
@@ -109,7 +118,14 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance of one CLI run, written as ``<out>.manifest.json``."""
+    """Provenance of one CLI run, written as ``<out>.manifest.json``.
+
+    ``threads`` is the resolved worker count (None for ``eval``, which has no
+    replicate loop).  ``blas_threads`` is the BLAS thread count in force: the
+    user's ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` when set, else 1 in a
+    study's replicate loops and the libraries' own count for ``eval``, and
+    None when no OpenBLAS thread control was found.
+    """
 
     command: str
     config_digest: str
@@ -117,6 +133,11 @@ class RunManifest:
     version: str
     started: str
     finished: str
+    threads: int | None
+    blas_threads: int | str | None
+    python_version: str
+    numpy_version: str
+    scipy_version: str
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -137,6 +158,7 @@ def _write_manifest(
     config_bytes: bytes | None,
     params: dict,
     seed: int | None,
+    threads: int | None,
 ) -> None:
     if out is None:
         return
@@ -147,6 +169,11 @@ def _write_manifest(
         version=__version__,
         started=started,
         finished=_now(),
+        threads=threads,
+        blas_threads=blas_threads(in_loop=threads is not None),
+        python_version=platform.python_version(),
+        numpy_version=np.__version__,
+        scipy_version=scipy.__version__,
     )
     with open(out + ".manifest.json", "w", encoding="utf-8", newline="") as fh:
         fh.write(manifest.to_json())
@@ -312,7 +339,7 @@ def cmd_decompose(args) -> int:
             est.err_s, est.err_r,
         ])
     _emit_csv(header, rows, args.out)
-    _write_manifest(args.out, "decompose", started, raw, {}, scenarios[0].seed)
+    _write_manifest(args.out, "decompose", started, raw, {}, scenarios[0].seed, threads)
     return 0
 
 
@@ -329,7 +356,7 @@ def cmd_criteria(args) -> int:
         for row in run_criteria_study(sc, threads=threads):
             rows.append([row.scenario, row.method, row.mse, row.bias2, row.variance, row.rel_to_ocv])
     _emit_csv(header, rows, args.out)
-    _write_manifest(args.out, "criteria", started, raw, {}, scenarios[0].seed)
+    _write_manifest(args.out, "criteria", started, raw, {}, scenarios[0].seed, threads)
     return 0
 
 
@@ -372,7 +399,7 @@ def cmd_ridge_ratio(args) -> int:
     _emit_csv(header, rows, args.out)
     params = {"command": "ridge-ratio", "n": n, "p": p, "reps": reps, "seed": seed,
               "lambda_min": lam_min, "lambda_max": lam_max, "lambda_points": points}
-    _write_manifest(args.out, "ridge-ratio", started, raw, params, seed)
+    _write_manifest(args.out, "ridge-ratio", started, raw, params, seed, threads)
     return 0
 
 
@@ -423,7 +450,7 @@ def cmd_eval(args) -> int:
     _emit_csv(["key", "value"], [[k, v] for k, v in pairs], args.out)
     params = {"command": "eval", "data": os.path.basename(args.data),
               "sigma2": args.sigma2, "smoother": args.smoother, "lam": args.lam}
-    _write_manifest(args.out, "eval", started, None, params, None)
+    _write_manifest(args.out, "eval", started, None, params, None, None)
     return 0
 
 

@@ -20,7 +20,11 @@ Reproducibility
 Every random draw comes from a counter-based Philox stream keyed by
 ``(master_seed, replicate, purpose)`` through `stream`.  Streams for distinct
 keys are independent, and a draw depends only on its own key — never on how
-many worker threads are running or in which order replicates complete.
+many worker threads are running or in which order replicates complete — so
+study output is byte-identical across ``--threads``.  The replicate runner
+(`_pool`) runs these draws with BLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; ``eval`` draws
+nothing and keeps the libraries' own BLAS threading.
 """
 
 from __future__ import annotations

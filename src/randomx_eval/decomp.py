@@ -34,7 +34,7 @@ from ._pool import run_replicates
 from .criteria import LEVERAGE_TOL
 from .datagen import TEST, TRAIN, CovariateModel, draw_covariates, stream
 from .errors import LeverageOne, RankDeficient
-from .smoothers import SmootherSpec, _factorize
+from .smoothers import SmootherSpec, _as_xy, _factorize
 
 # Unused here, but perfbench/tracer.py wraps these names as bound in this module.
 from .linalg import _cholesky_spd  # noqa: F401
@@ -77,7 +77,28 @@ def conditional_moments(
     sigma2 ||L||_F^2 / rows, at X and at X0.  For least squares the Same-X
     variance is exactly ``sigma2 p / n``; for kNN both variances are exactly
     ``sigma2 / k``, so its excess variance is identically zero.
+
+    Inputs are checked here, once: X (n, p) and X0 (m, p) with fX (n,) and
+    fX0 (m,), all finite, and sigma2 finite and >= 0.
     """
+    X, fX = _as_xy(X, fX)
+    X0, fX0 = _as_xy(X0, fX0)
+    if X0.shape[1] != X.shape[1]:
+        raise ValueError(f"X0 must be (m, {X.shape[1]})")
+    _check_sigma2(sigma2)
+    return _conditional_moments(smoother, X, X0, fX, fX0, sigma2)
+
+
+def _check_sigma2(sigma2: float) -> None:
+    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
+        raise ValueError("sigma2 must be finite and >= 0")
+
+
+def _conditional_moments(
+    smoother: SmootherSpec, X: np.ndarray, X0: np.ndarray, fX: np.ndarray, fX0: np.ndarray,
+    sigma2: float,
+) -> ConditionalMoments:
+    """`conditional_moments` without the input checks, for the replicate loop."""
     op = _factorize(smoother, X)
     c = op.solve(fX)
     fit_s, var_s = op.apply(c, None, sigma2)
@@ -146,7 +167,7 @@ def estimate_decomposition(
     def one_rep(r: int) -> ConditionalMoments:
         X = draw_covariates(cov, n, stream(seed, r, TRAIN))
         X0 = draw_covariates(cov, n, stream(seed, r, TEST))
-        return conditional_moments(smoother, X, X0, mean.evaluate(X), mean.evaluate(X0), sigma2)
+        return _conditional_moments(smoother, X, X0, mean.evaluate(X), mean.evaluate(X0), sigma2)
 
     rows = np.array(run_replicates(one_rep, reps, threads, seed))
     bias_s, var_s, bias_r, var_r = rows.T
@@ -200,13 +221,12 @@ class OcvConditionalDecomp:
 
 
 def ocv_conditional(X, fX, smoother: SmootherSpec, sigma2: float) -> OcvConditionalDecomp:
-    """Split E[OCV | X] into its variance and bias components for one X."""
-    X = np.asarray(X, dtype=float)
-    fX = np.asarray(fX, dtype=float)
-    if X.ndim != 2 or fX.shape != (X.shape[0],):
-        raise ValueError("need X (n, p) and fX (n,)")
-    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError("sigma2 must be finite and >= 0")
+    """Split E[OCV | X] into its variance and bias components for one X.
+
+    X (n, p) and fX (n,) must be finite, and sigma2 finite and >= 0.
+    """
+    X, fX = _as_xy(X, fX)
+    _check_sigma2(sigma2)
     op = _factorize(smoother, X)
     smoothed = op.apply(op.solve(fX))[0]
     h = op.hat_diag()

@@ -4,10 +4,13 @@ import csv
 import hashlib
 import io
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
+from randomx_eval._pool import USER_BLAS_ENV, _blas_pools, blas_threads
 from randomx_eval.cli import bundled_config_path, main
 from randomx_eval.criteria import criteria_report
 from randomx_eval.errors import ConfigError
@@ -124,7 +127,9 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", str(path))
         assert code == 3 and err.startswith("error:")
 
-    def test_out_file_and_manifest(self, tmp_path, capsys):
+    def test_out_file_and_manifest(self, tmp_path, capsys, monkeypatch):
+        for var in USER_BLAS_ENV:
+            monkeypatch.delenv(var, raising=False)
         path, _, _ = write_dataset(tmp_path)
         out = tmp_path / "report.csv"
         code, stdout, _ = run_cli(capsys, "eval", path, "--out", str(out))
@@ -133,6 +138,26 @@ class TestEval:
         manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
         assert manifest["command"] == "eval" and manifest["seed"] is None
         assert len(manifest["config_digest"]) == 64
+        assert {"version", "started", "finished"} <= manifest.keys()
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
+        # eval has no replicate loop: no workers, and BLAS keeps its own count
+        assert manifest["threads"] is None
+        assert manifest["blas_threads"] == blas_threads(in_loop=False)
+        if _blas_pools():
+            assert manifest["blas_threads"] == max(get() for get, _ in _blas_pools())
+
+        config = write_config(tmp_path, reps=4)
+        study = tmp_path / "table.csv"
+        run_cli(capsys, "decompose", "--config", config, "--out", str(study), "--threads", "2")
+        manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+        assert manifest["threads"] == 2
+        assert manifest["blas_threads"] == (1 if _blas_pools() else None)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        run_cli(capsys, "decompose", "--config", config, "--out", str(study))
+        manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+        assert manifest["threads"] == 1 and manifest["blas_threads"] == 3
 
 
 class TestDecompose:

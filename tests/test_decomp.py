@@ -9,11 +9,14 @@ test checks the moments against the definitions on the same explicit weight
 matrices, without noise.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randomx_eval._pool import run_replicates
 from randomx_eval.datagen import CovariateModel, MeanModel, NoiseModel
 from randomx_eval.decomp import (
     ConditionalMoments,
@@ -184,6 +187,34 @@ class TestConditionalMomentProperties:
         with pytest.raises(RankDeficient):
             conditional_moments(SmootherSpec.least_squares(), X, X, np.zeros(5), np.zeros(5), 1.0)
 
+    def test_inputs_checked_at_the_boundary(self):
+        f = MeanModel.abs_sum(1.0)
+        X, X0 = self.X, self.X0.copy()
+        fX, fX0 = f.evaluate(X), f.evaluate(X0)
+        spec = SmootherSpec.least_squares()
+        X0[3, 1] = np.nan  # fX0 stays finite: X0 alone is checked
+        with pytest.raises(ValueError, match="finite"):
+            conditional_moments(spec, X, X0, fX, fX0, 1.0)
+        bad = fX.copy()
+        bad[0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            conditional_moments(spec, X, self.X0, bad, fX0, 1.0)
+        with pytest.raises(ValueError, match="X0 must be"):
+            conditional_moments(spec, X, self.X0[:, :3], fX, fX0, 1.0)
+        with pytest.raises(ValueError, match="need X"):
+            conditional_moments(spec, X, self.X0, fX, fX0[:-1], 1.0)
+        for sigma2 in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="sigma2"):
+                conditional_moments(spec, X, self.X0, fX, fX0, sigma2)
+
+    def test_replicate_loop_skips_the_boundary_checks(self, monkeypatch):
+        def checked(*args):
+            raise AssertionError("public entry called inside the replicate loop")
+
+        monkeypatch.setattr("randomx_eval.decomp.conditional_moments", checked)
+        est = estimate_decomposition(_scenario(reps=3), SmootherSpec.least_squares())
+        assert est.reps == 3
+
 
 @st.composite
 def draws(draw):
@@ -279,6 +310,19 @@ class TestEstimateDecomposition:
             estimate_decomposition(sc, SmootherSpec.least_squares())
         assert err.value.replicate == 0 and err.value.seed == 77
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lowest_failing_replicate_reported_at_any_thread_count(self, threads):
+        def fn(r):
+            if r == 0:
+                time.sleep(0.05)  # replicate 1 fails first in time
+            if r <= 1:
+                raise ValueError(f"replicate {r} fails")
+            return r
+
+        with pytest.raises(ReplicateError) as err:
+            run_replicates(fn, 4, threads, 77)
+        assert err.value.replicate == 0 and err.value.seed == 77
+
     def test_reps_override_and_floor(self):
         est = estimate_decomposition(_scenario(), SmootherSpec.least_squares(), reps=10)
         assert est.reps == 10
@@ -322,6 +366,14 @@ class TestOcvConditional:
         for spec in (SmootherSpec.ridge(1.0), SmootherSpec.kernel_ridge(0.5), SmootherSpec.knn(3)):
             dec = ocv_conditional(X, fX, spec, 2.0)
             assert dec.v_of_X >= 2.0 and dec.b_of_X >= 0.0
+
+    def test_nonfinite_mean_rejected(self):
+        rng = np.random.default_rng(64)
+        X = rng.standard_normal((20, 3))
+        fX = X.sum(axis=1)
+        fX[4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ocv_conditional(X, fX, SmootherSpec.least_squares(), 1.0)
 
     def test_interpolating_fit_raises_leverage_one(self):
         rng = np.random.default_rng(63)
