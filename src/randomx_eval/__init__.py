@@ -17,7 +17,6 @@ from .criteria import (
     optr_asymptotic,
     rcp,
     rcp_hat,
-    rcp_plus_from_ocv,
     vplus_asymptotic,
     vplus_normal_exact,
 )
@@ -37,7 +36,6 @@ from .decomp import (
     DecompositionEstimate,
     OcvConditionalDecomp,
     conditional_moments,
-    eigen_mp_check,
     estimate_decomposition,
     ocv_conditional,
 )
@@ -46,7 +44,6 @@ from .experiments import (
     RidgeRatioCurve,
     ScenarioConfig,
     err_r_target,
-    ridge_ratio_limit_mc,
     ridge_ratio_limit_normal,
     run_criteria_study,
     run_decomposition_study,
@@ -63,15 +60,14 @@ __all__ = [
     "SmootherSpec", "FittedSmoother", "fit", "predict", "neighbor_sets",
     # criteria
     "cp", "rcp", "rcp_hat", "gcv", "ocv", "bplus_hat",
-    "rcp_plus_from_ocv", "vplus_normal_exact", "vplus_asymptotic",
+    "vplus_normal_exact", "vplus_asymptotic",
     "optr_asymptotic", "CriteriaReport",
     "criteria_report",
     # decomp
     "ConditionalMoments", "conditional_moments", "DecompositionEstimate",
     "estimate_decomposition", "OcvConditionalDecomp", "ocv_conditional",
-    "eigen_mp_check",
     # experiments
     "ScenarioConfig", "CriteriaMseRow", "RidgeRatioCurve", "err_r_target",
     "run_decomposition_study", "run_criteria_study", "run_ridge_ratio_study",
-    "ridge_ratio_limit_normal", "ridge_ratio_limit_mc",
+    "ridge_ratio_limit_normal",
 ]

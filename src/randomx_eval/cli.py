@@ -9,19 +9,24 @@ Subcommands
 ``eval``         criteria for one CSV dataset (header row; last column is the
                  response).
 
-Common flags: ``--config``, ``--out``, ``--seed``, ``--reps``, ``--threads``
-(``RANDOMX_EVAL_THREADS`` is the fallback for ``--threads``).  Output is CSV
-on stdout or at ``--out``; floats are printed with 17 significant digits so
-files are round-trip exact and byte-stable, and byte-identical across
-``--threads``.  With ``--out``, a small JSON run manifest is written next to
-the output; it records the worker and BLAS thread counts and the Python,
-numpy and scipy versions.
+The study subcommands take ``--config`` (optional for ``ridge-ratio``, which
+also takes ``--n``, ``--p`` and ``--lambda-min/max/points``), ``--seed``,
+``--reps`` and ``--threads`` (``RANDOMX_EVAL_THREADS`` is its fallback); a
+flag given overrides the config's value.  ``eval`` takes the data file,
+``--sigma2``, ``--smoother`` and ``--lam``.  Every subcommand takes ``--out``.
+Output is CSV on stdout or at ``--out``; floats are printed with 17
+significant digits so files are round-trip exact and byte-stable, and
+byte-identical across ``--threads``.  With ``--out``, a small JSON run
+manifest is written next to the output; it records the worker and BLAS
+thread counts and the Python, numpy and scipy versions.
 
 The study subcommands run their replicate loops with BLAS on one thread
 unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; ``eval`` has
 no replicate loop and keeps the libraries' own BLAS threading.
 
-Exit codes: 0 success, 2 configuration/input error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration/input error (a malformed or
+out-of-range config value, a study argument the study rejects, a bad data
+file), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .errors import (
     DimensionError,
     DomainError,
     LeverageOne,
-    NoConvergence,
     NotPositiveDefinite,
     ParseError,
     RankDeficient,
@@ -70,7 +74,6 @@ __all__ = ["main", "RunManifest", "bundled_config_path"]
 _NUMERIC_ERRORS = (
     NotPositiveDefinite,
     RankDeficient,
-    NoConvergence,
     DomainError,
     DimensionError,
     LeverageOne,
@@ -143,28 +146,18 @@ class RunManifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def _digest(config_bytes: bytes | None, params: dict) -> str:
-    """SHA-256 of the config file bytes, or of canonical effective params."""
-    if config_bytes is not None:
-        return hashlib.sha256(config_bytes).hexdigest()
-    canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+def _write_manifest(out: str, command: str, started: str, source: bytes | dict,
+                    seed: int | None, threads: int | None) -> None:
+    """Write ``<out>.manifest.json``.
 
-
-def _write_manifest(
-    out: str | None,
-    command: str,
-    started: str,
-    config_bytes: bytes | None,
-    params: dict,
-    seed: int | None,
-    threads: int | None,
-) -> None:
-    if out is None:
-        return
+    The digest is the SHA-256 of the config file bytes, or of the canonical
+    effective params when ``source`` is a dict.
+    """
+    if isinstance(source, dict):
+        source = json.dumps(source, sort_keys=True, separators=(",", ":")).encode()
     manifest = RunManifest(
         command=command,
-        config_digest=_digest(config_bytes, params),
+        config_digest=hashlib.sha256(source).hexdigest(),
         seed=seed,
         version=__version__,
         started=started,
@@ -216,58 +209,42 @@ def _get(doc: dict, field: str, kind, where: str = "", required: bool = True, de
     return value
 
 
-def _covariate_model(obj: dict, p: int, where: str) -> CovariateModel:
+def _pick(flag, doc: dict, key: str, kind, default):
+    """The flag if given, else the config value, else the default."""
+    if flag is not None:
+        return flag
+    return _get(doc, key, kind, required=False, default=default)
+
+
+# Optional fields of each model's config object, after its ``variant``.
+_COVARIATE_FIELDS = (("blocks", int), ("rho", float), ("base", str), ("sigma_half", list))
+_MEAN_FIELDS = (("C", float), ("beta", list))
+_SMOOTHER_FIELDS = (("lam", float), ("kernel", str), ("bandwidth", float), ("k", int))
+
+
+def _model(cls, obj: dict, where: str, keys, *args):
+    """``cls(variant, *args, **fields)`` from one config object.
+
+    The constructor checks every value and converts ``sigma_half`` and
+    ``beta`` to arrays; a value it rejects is a `ConfigError` naming ``where``.
+    """
     variant = _get(obj, "variant", str, where)
-    kwargs = {}
-    if "blocks" in obj:
-        kwargs["blocks"] = _get(obj, "blocks", int, where)
-    if "rho" in obj:
-        kwargs["rho"] = _get(obj, "rho", float, where)
-    if "base" in obj:
-        kwargs["base"] = _get(obj, "base", str, where)
-    if "sigma_half" in obj:
-        kwargs["sigma_half"] = np.asarray(_get(obj, "sigma_half", list, where), dtype=float)
+    fields = {key: _get(obj, key, kind, where) for key, kind in keys if key in obj}
     try:
-        return CovariateModel(variant, p, **kwargs)
+        return cls(variant, *args, **fields)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc), field=where) from exc
 
 
-def _mean_model(obj: dict, where: str) -> MeanModel:
-    variant = _get(obj, "variant", str, where)
-    kwargs = {}
-    if "C" in obj:
-        kwargs["C"] = _get(obj, "C", float, where)
-    if "beta" in obj:
-        kwargs["beta"] = np.asarray(_get(obj, "beta", list, where), dtype=float)
-    try:
-        return MeanModel(variant, **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc), field=where) from exc
-
-
-def _smoother_spec(obj: dict | None, where: str = "smoother") -> SmootherSpec:
-    if obj is None:
-        return SmootherSpec.least_squares()
-    variant = _get(obj, "variant", str, where)
-    kwargs = {}
-    for key, kind in (("lam", float), ("kernel", str), ("bandwidth", float), ("k", int)):
-        if key in obj:
-            kwargs[key] = _get(obj, key, kind, where)
-    try:
-        return SmootherSpec(variant, **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc), field=where) from exc
-
-
-def _scenarios_from_config(
-    doc: dict, seed_override: int | None, reps_override: int | None
-) -> tuple[list[ScenarioConfig], SmootherSpec]:
+def _load_study(args) -> tuple[list[ScenarioConfig], SmootherSpec, bytes, int]:
+    """Scenarios, smoother, config bytes and threads of a ``decompose``/``criteria`` run."""
+    threads = _resolve_threads(args)
+    doc, raw = _load_json(args.config)
     n = _get(doc, "n", int)
     p = _get(doc, "p", int)
     sigma = _get(doc, "sigma", float)
-    seed = seed_override if seed_override is not None else _get(doc, "seed", int, required=False, default=0)
-    reps = reps_override if reps_override is not None else _get(doc, "reps", int, required=False, default=1000)
+    seed = _pick(args.seed, doc, "seed", int, 0)
+    reps = _pick(args.reps, doc, "reps", int, 1000)
     test_m = _get(doc, "test_m", int, required=False, default=10_000)
     raw_scenarios = _get(doc, "scenarios", list)
     if not raw_scenarios:
@@ -283,33 +260,28 @@ def _scenarios_from_config(
         if not isinstance(entry, dict):
             raise ConfigError("expected object", field=where)
         name = _get(entry, "name", str, where)
-        cov = _covariate_model(_get(entry, "covariates", dict, where), p, f"{where}.covariates")
-        mean = _mean_model(_get(entry, "mean", dict, where), f"{where}.mean")
+        cov = _model(CovariateModel, _get(entry, "covariates", dict, where),
+                     f"{where}.covariates", _COVARIATE_FIELDS, p)
+        mean = _model(MeanModel, _get(entry, "mean", dict, where), f"{where}.mean", _MEAN_FIELDS)
         try:
-            scenarios.append(
-                ScenarioConfig(
-                    covariates=cov, mean=mean, noise=noise, n=n,
-                    test_m=test_m, reps=reps, seed=seed, name=name,
-                )
-            )
+            scenarios.append(ScenarioConfig(covariates=cov, mean=mean, noise=noise, n=n,
+                                            test_m=test_m, reps=reps, seed=seed, name=name))
         except ValueError as exc:
             raise ConfigError(str(exc), field=where) from exc
-    smoother = _smoother_spec(_get(doc, "smoother", dict, required=False))
-    return scenarios, smoother
+    obj = _get(doc, "smoother", dict, required=False)
+    smoother = (SmootherSpec.least_squares() if obj is None
+                else _model(SmootherSpec, obj, "smoother", _SMOOTHER_FIELDS))
+    return scenarios, smoother, raw, threads
 
 
 def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        threads = args.threads
-    else:
+    threads = args.threads
+    if threads is None:
         env = os.environ.get("RANDOMX_EVAL_THREADS", "")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"RANDOMX_EVAL_THREADS is not an integer: {env!r}") from exc
-        else:
-            threads = 1
+        try:
+            threads = int(env or 1)
+        except ValueError as exc:
+            raise ConfigError(f"RANDOMX_EVAL_THREADS is not an integer: {env!r}") from exc
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     return threads
@@ -319,88 +291,78 @@ def _resolve_threads(args) -> int:
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_decompose(args) -> int:
-    started = _now()
-    threads = _resolve_threads(args)
-    doc, raw = _load_json(args.config)
-    scenarios, smoother = _scenarios_from_config(doc, args.seed, args.reps)
-    results = run_decomposition_study(scenarios, smoother, threads=threads)
+# Each subcommand returns (header, rows, digest source, seed, threads); the
+# digest source is the config file's bytes, or the effective params without one.
+
+def _study(run, *args, **kwargs):
+    """Call a study; an argument it rejects with a plain ValueError is a config error."""
+    try:
+        return run(*args, **kwargs)
+    except _NUMERIC_ERRORS:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def cmd_decompose(args):
+    scenarios, smoother, raw, threads = _load_study(args)
     header = [
         "scenario", "covariates", "mean", "n", "p", "sigma",
         "B", "se_B", "V", "se_V", "Bplus", "se_Bplus", "Vplus", "se_Vplus",
         "errS", "errR",
     ]
-    rows = []
-    for sc, est in results:
-        rows.append([
+    rows = [
+        [
             sc.name, sc.covariates.variant, sc.mean.variant, sc.n, sc.p,
             sc.noise.sigma, est.B, est.se_B, est.V, est.se_V,
             est.Bplus, est.se_Bplus, est.Vplus, est.se_Vplus,
             est.err_s, est.err_r,
-        ])
-    _emit_csv(header, rows, args.out)
-    _write_manifest(args.out, "decompose", started, raw, {}, scenarios[0].seed, threads)
-    return 0
+        ]
+        for sc, est in _study(run_decomposition_study, scenarios, smoother, threads=threads)
+    ]
+    return header, rows, raw, scenarios[0].seed, threads
 
 
-def cmd_criteria(args) -> int:
-    started = _now()
-    threads = _resolve_threads(args)
-    doc, raw = _load_json(args.config)
-    scenarios, smoother = _scenarios_from_config(doc, args.seed, args.reps)
+def cmd_criteria(args):
+    scenarios, smoother, raw, threads = _load_study(args)
     if smoother.variant != "least_squares":
         raise ConfigError("criteria study supports least squares only", field="smoother")
+    rows = [
+        [row.scenario, row.method, row.mse, row.bias2, row.variance, row.rel_to_ocv]
+        for sc in scenarios
+        for row in _study(run_criteria_study, sc, threads=threads)
+    ]
     header = ["scenario", "method", "mse", "bias2", "variance", "rel_to_ocv"]
-    rows = []
-    for sc in scenarios:
-        for row in run_criteria_study(sc, threads=threads):
-            rows.append([row.scenario, row.method, row.mse, row.bias2, row.variance, row.rel_to_ocv])
-    _emit_csv(header, rows, args.out)
-    _write_manifest(args.out, "criteria", started, raw, {}, scenarios[0].seed, threads)
-    return 0
+    return header, rows, raw, scenarios[0].seed, threads
 
 
-def cmd_ridge_ratio(args) -> int:
-    started = _now()
+def cmd_ridge_ratio(args):
     threads = _resolve_threads(args)
-    doc, raw = ({}, None)
-    if args.config:
-        doc, raw = _load_json(args.config)
-
-    def pick(flag, key, kind, default):
-        if flag is not None:
-            return flag
-        return _get(doc, key, kind, required=False, default=default)
-
-    n = pick(args.n, "n", int, 300)
-    p = pick(args.p, "p", int, 100)
-    reps = pick(args.reps, "reps", int, 100)
-    seed = pick(args.seed, "seed", int, 0)
-    lam_min = pick(args.lambda_min, "lambda_min", float, 1.0)
-    lam_max = pick(args.lambda_max, "lambda_max", float, 1e6)
-    points = pick(args.lambda_points, "lambda_points", int, 40)
+    doc, raw = _load_json(args.config) if args.config else ({}, None)
+    n = _pick(args.n, doc, "n", int, 300)
+    p = _pick(args.p, doc, "p", int, 100)
+    reps = _pick(args.reps, doc, "reps", int, 100)
+    seed = _pick(args.seed, doc, "seed", int, 0)
+    lam_min = _pick(args.lambda_min, doc, "lambda_min", float, 1.0)
+    lam_max = _pick(args.lambda_max, doc, "lambda_max", float, 1e6)
+    points = _pick(args.lambda_points, doc, "lambda_points", int, 40)
     if points < 2:
         raise ConfigError("lambda_points must be >= 2")
     if not 0 < lam_min < lam_max:
         raise ConfigError("need 0 < lambda_min < lambda_max")
-    try:
-        curve = run_ridge_ratio_study(
-            n=n, p=p,
-            lambdas=np.logspace(np.log10(lam_min), np.log10(lam_max), points),
-            reps=reps, seed=seed, threads=threads,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    header = ["lambda", "ratio", "ci_low", "ci_high", "theory_limit"]
+    curve = _study(
+        run_ridge_ratio_study, n=n, p=p,
+        lambdas=np.logspace(np.log10(lam_min), np.log10(lam_max), points),
+        reps=reps, seed=seed, threads=threads,
+    )
     rows = [
         [curve.lambdas[i], curve.ratio[i], curve.ci_low[i], curve.ci_high[i], curve.theoretical_limit]
         for i in range(curve.lambdas.size)
     ]
-    _emit_csv(header, rows, args.out)
     params = {"command": "ridge-ratio", "n": n, "p": p, "reps": reps, "seed": seed,
               "lambda_min": lam_min, "lambda_max": lam_max, "lambda_points": points}
-    _write_manifest(args.out, "ridge-ratio", started, raw, params, seed, threads)
-    return 0
+    header = ["lambda", "ratio", "ci_low", "ci_high", "theory_limit"]
+    return header, rows, params if raw is None else raw, seed, threads
 
 
 def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -428,30 +390,23 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, :-1], arr[:, -1]
 
 
-def cmd_eval(args) -> int:
-    started = _now()
+def cmd_eval(args):
     X, Y = _read_dataset(args.data)
     if args.sigma2 is not None and args.sigma2 < 0:
         raise ConfigError("sigma2 must be >= 0")
-    if args.smoother == "ls":
-        spec = SmootherSpec.least_squares()
-    else:
-        if args.lam is None or args.lam <= 0:
-            raise ConfigError("--smoother ridge requires --lam > 0")
-        spec = SmootherSpec.ridge(args.lam)
-    model = fit(spec, X, Y)
-    report = criteria_report(model, sigma2=args.sigma2)
+    if args.smoother == "ridge" and (args.lam is None or args.lam <= 0):
+        raise ConfigError("--smoother ridge requires --lam > 0")
+    spec = SmootherSpec.least_squares() if args.smoother == "ls" else SmootherSpec.ridge(args.lam)
+    report = criteria_report(fit(spec, X, Y), sigma2=args.sigma2)
     pairs = [("rss", report.rss), ("sigma2_hat", report.sigma2_hat)]
     if report.cp is not None:
         pairs += [("cp", report.cp), ("rcp", report.rcp)]
     pairs += [("rcp_hat", report.rcp_hat), ("gcv", report.gcv), ("ocv", report.ocv)]
     if report.bplus_hat is not None:
         pairs += [("bplus_hat", report.bplus_hat), ("rcp_plus", report.rcp_plus)]
-    _emit_csv(["key", "value"], [[k, v] for k, v in pairs], args.out)
     params = {"command": "eval", "data": os.path.basename(args.data),
               "sigma2": args.sigma2, "smoother": args.smoother, "lam": args.lam}
-    _write_manifest(args.out, "eval", started, None, params, None, None)
-    return 0
+    return ["key", "value"], [list(pair) for pair in pairs], params, None, None
 
 
 # --------------------------------------------------------------------------
@@ -504,14 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = _now()
     try:
-        return args.func(args)
-    except (ConfigError, ParseError) as exc:
+        header, rows, source, seed, threads = args.func(args)
+    except (ConfigError, ParseError, *_NUMERIC_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, _NUMERIC_ERRORS) else 2
+    _emit_csv(header, rows, args.out)
+    if args.out is not None:
+        _write_manifest(args.out, args.command, started, source, seed, threads)
+    return 0
 
 
 if __name__ == "__main__":

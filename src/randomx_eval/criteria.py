@@ -39,7 +39,6 @@ __all__ = [
     "gcv",
     "ocv",
     "bplus_hat",
-    "rcp_plus_from_ocv",
     "vplus_normal_exact",
     "vplus_asymptotic",
     "optr_asymptotic",
@@ -51,13 +50,18 @@ __all__ = [
 LEVERAGE_TOL = 1e-12
 
 
+def _check_sigma2(sigma2: float) -> None:
+    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
+        raise ValueError("sigma2 must be finite and >= 0")
+
+
 def _check_scalars(rss: float, n: int, p: float, sigma2: float | None = None) -> None:
     if not (np.isfinite(rss) and rss >= 0.0):
         raise ValueError("rss must be finite and >= 0")
     if n < 2 or not p > 0:
         raise ValueError("need n >= 2 and p > 0")
-    if sigma2 is not None and not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError("sigma2 must be finite and >= 0")
+    if sigma2 is not None:
+        _check_sigma2(sigma2)
 
 
 def _check_resid(residuals, hat_diag) -> tuple[np.ndarray, np.ndarray]:
@@ -151,27 +155,9 @@ def bplus_hat(residuals, hat_diag, sigma2: float) -> float:
     is missed.  May be negative on a given sample.
     """
     r, h = _check_resid(residuals, hat_diag)
-    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError("sigma2 must be finite and >= 0")
+    _check_sigma2(sigma2)
     one_minus = 1.0 - h
     return float(np.mean((r**2 - one_minus * sigma2) * (1.0 / one_minus**2 - 1.0)))
-
-
-def rcp_plus_from_ocv(ocv_value: float, hat_diag, n: int, p: int, sigma2: float) -> float:
-    """rcp_plus rewritten around OCV (an algebraic identity, not a new method).
-
-    ``OCV - (sigma2/n) sum h_ii/(1-h_ii) + (sigma2 p/n)(1 + (p+1)/(n-p-1))``.
-    Used to cross-check ``rcp + bplus_hat``; the two agree to round-off.
-    """
-    h = np.asarray(hat_diag, dtype=float)
-    if np.any(h >= 1.0 - LEVERAGE_TOL):
-        raise LeverageOne("a leverage is numerically 1")
-    _check_scalars(0.0, n, p, sigma2)
-    if p >= n - 1:
-        raise DimensionError(f"need p < n - 1, got n={n}, p={p}")
-    penalty = (sigma2 / n) * float(np.sum(h / (1.0 - h)))
-    head = sigma2 * (p / n) * (1.0 + (p + 1.0) / (n - p - 1.0))
-    return ocv_value - penalty + head
 
 
 def vplus_asymptotic(gamma: float, sigma2: float) -> float:
@@ -182,8 +168,7 @@ def vplus_asymptotic(gamma: float, sigma2: float) -> float:
     """
     if not (np.isfinite(gamma) and 0.0 < gamma < 1.0):
         raise DomainError("gamma must lie in (0, 1)")
-    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError("sigma2 must be finite and >= 0")
+    _check_sigma2(sigma2)
     return sigma2 * gamma**2 / (1.0 - gamma)
 
 
@@ -191,8 +176,7 @@ def optr_asymptotic(gamma: float, sigma2: float) -> float:
     """Limiting Random-X optimism of least squares: ``sigma2 gamma (2-gamma)/(1-gamma)``."""
     if not (np.isfinite(gamma) and 0.0 < gamma < 1.0):
         raise DomainError("gamma must lie in (0, 1)")
-    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError("sigma2 must be finite and >= 0")
+    _check_sigma2(sigma2)
     return sigma2 * gamma * (2.0 - gamma) / (1.0 - gamma)
 
 

@@ -230,9 +230,9 @@ class MeanModel:
             raise ValueError(f"unknown mean variant {self.variant!r}")
         if not np.isfinite(self.C):
             raise ValueError("C must be finite")
-        if self.variant == "linear_beta":
-            if self.beta is None:
-                raise ValueError("linear_beta requires beta")
+        if self.variant == "linear_beta" and self.beta is None:
+            raise ValueError("linear_beta requires beta")
+        if self.beta is not None:
             b = np.asarray(self.beta, dtype=float)
             if b.ndim != 1 or not np.all(np.isfinite(b)):
                 raise ValueError("beta must be a finite 1-D vector")

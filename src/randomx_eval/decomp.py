@@ -31,9 +31,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ._pool import run_replicates
-from .criteria import LEVERAGE_TOL
-from .datagen import TEST, TRAIN, CovariateModel, draw_covariates, stream
-from .errors import LeverageOne, RankDeficient
+from .criteria import LEVERAGE_TOL, _check_sigma2
+from .datagen import TEST, TRAIN, draw_covariates, stream
+from .errors import LeverageOne
 from .smoothers import SmootherSpec, _as_xy, _factorize
 
 # Unused here, but perfbench/tracer.py wraps these names as bound in this module.
@@ -50,7 +50,6 @@ __all__ = [
     "estimate_decomposition",
     "OcvConditionalDecomp",
     "ocv_conditional",
-    "eigen_mp_check",
 ]
 
 
@@ -87,11 +86,6 @@ def conditional_moments(
         raise ValueError(f"X0 must be (m, {X.shape[1]})")
     _check_sigma2(sigma2)
     return _conditional_moments(smoother, X, X0, fX, fX0, sigma2)
-
-
-def _check_sigma2(sigma2: float) -> None:
-    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError("sigma2 must be finite and >= 0")
 
 
 def _conditional_moments(
@@ -144,7 +138,6 @@ class DecompositionEstimate:
 def estimate_decomposition(
     scenario: "ScenarioConfig",
     smoother: SmootherSpec,
-    reps: int | None = None,
     threads: int = 1,
 ) -> DecompositionEstimate:
     """Estimate (B, V, Bplus, Vplus) for a smoother under a scenario.
@@ -152,12 +145,10 @@ def estimate_decomposition(
     Per replicate r, training covariates come from stream
     ``(seed, r, TRAIN)`` and an n-row test matrix from ``(seed, r, TEST)``;
     the conditional moments for that draw are exact, so averaging them gives
-    unbiased estimates of all four terms.  Output is identical for any
-    ``threads``.
+    unbiased estimates of all four terms, over ``scenario.reps`` replicates.
+    Output is identical for any ``threads``.
     """
-    reps = scenario.reps if reps is None else int(reps)
-    if reps < 2:
-        raise ValueError("reps must be >= 2 to form standard errors")
+    reps = scenario.reps
     n = scenario.n
     seed = scenario.seed
     sigma2 = scenario.noise.sigma2
@@ -236,30 +227,3 @@ def ocv_conditional(X, fX, smoother: SmootherSpec, sigma2: float) -> OcvConditio
     v = sigma2 / n * float(np.sum(1.0 / (1.0 - h)))
     b = float(np.mean(((fX - smoothed) / (1.0 - h)) ** 2))
     return OcvConditionalDecomp(v_of_X=v, b_of_X=b)
-
-
-# --------------------------------------------------------------------------
-# spectral sanity check
-# --------------------------------------------------------------------------
-
-def eigen_mp_check(
-    n: int, p: int, model: CovariateModel, reps: int, seed: int = 0
-) -> float:
-    """Mean inverse eigenvalue of X'X/n, averaged over draws.
-
-    For i.i.d. zero-mean unit-variance entries this approaches
-    ``1/(1 - gamma)`` with ``gamma = p/n`` as n grows — the spectral fact
-    behind the asymptotic excess variance ``sigma2 gamma^2 / (1 - gamma)``.
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if not 1 <= p < n:
-        raise ValueError("need 1 <= p < n")
-    vals = np.empty(reps)
-    for r in range(reps):
-        X = draw_covariates(model, n, stream(seed, r, TRAIN))
-        eig = np.linalg.eigvalsh(X.T @ X / n)
-        if np.any(eig <= 0):
-            raise RankDeficient("singular draw in eigen check")
-        vals[r] = np.mean(1.0 / eig)
-    return float(np.mean(vals))

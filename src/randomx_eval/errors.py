@@ -9,10 +9,6 @@ class RankDeficient(ValueError):
     """Design matrix does not have full column rank."""
 
 
-class NoConvergence(RuntimeError):
-    """An iterative numeric routine failed to converge."""
-
-
 class DomainError(ValueError):
     """Scalar argument outside its mathematical domain."""
 

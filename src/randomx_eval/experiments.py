@@ -32,12 +32,12 @@ approaching tr(E[X'X] E[X'X]) / tr(E[(X'X)^2]) as the penalty diverges —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._pool import run_replicates
-from .criteria import bplus_hat, gcv, ocv, rcp, rcp_hat
+from .criteria import _check_sigma2, bplus_hat, gcv, ocv, rcp, rcp_hat
 from .datagen import (
     NOISE,
     TEST,
@@ -61,7 +61,6 @@ __all__ = [
     "run_criteria_study",
     "run_ridge_ratio_study",
     "ridge_ratio_limit_normal",
-    "ridge_ratio_limit_mc",
     "CRITERIA_METHODS",
 ]
 
@@ -74,8 +73,9 @@ class ScenarioConfig:
     """One simulation cell: covariate law, mean, noise, and sizes.
 
     ``test_m`` is the fresh-test-set size used for the criteria study's
-    target; ``reps`` the default replicate count; ``seed`` the master seed
-    all per-replicate streams derive from.
+    target; ``reps`` the replicate count; ``seed`` the master seed all
+    per-replicate streams derive from.  A ``linear_beta`` mean needs a beta
+    of length p.
     """
 
     covariates: CovariateModel
@@ -96,27 +96,19 @@ class ScenarioConfig:
             raise ValueError("reps must be >= 2")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.mean.variant == "linear_beta" and self.mean.beta.shape[0] != self.p:
+            raise ValueError(f"mean beta has length {self.mean.beta.shape[0]}, need p = {self.p}")
 
     @property
     def p(self) -> int:
         return self.covariates.p
-
-    def override(self, reps: int | None = None, seed: int | None = None) -> "ScenarioConfig":
-        """Copy with replicate count and/or seed replaced (None keeps)."""
-        out = self
-        if reps is not None:
-            out = replace(out, reps=reps)
-        if seed is not None:
-            out = replace(out, seed=seed)
-        return out
 
 
 def err_r_target(
     fitted: FittedSmoother, X_test: np.ndarray, f_test: np.ndarray, sigma2: float
 ) -> float:
     """Conditional Random-X error of a trained model on a given test set."""
-    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError("sigma2 must be finite and >= 0")
+    _check_sigma2(sigma2)
     f_test = np.asarray(f_test, dtype=float)
     pred = predict(fitted, X_test)
     return sigma2 + float(np.mean((f_test - pred) ** 2))
@@ -129,15 +121,11 @@ def err_r_target(
 def run_decomposition_study(
     scenarios: list[ScenarioConfig],
     smoother: SmootherSpec | None = None,
-    reps: int | None = None,
     threads: int = 1,
 ) -> list[tuple[ScenarioConfig, DecompositionEstimate]]:
     """Decomposition estimates for each scenario (default: least squares)."""
     smoother = smoother or SmootherSpec.least_squares()
-    return [
-        (sc, estimate_decomposition(sc, smoother, reps=reps, threads=threads))
-        for sc in scenarios
-    ]
+    return [(sc, estimate_decomposition(sc, smoother, threads=threads)) for sc in scenarios]
 
 
 # --------------------------------------------------------------------------
@@ -167,23 +155,19 @@ class CriteriaMseRow:
     rel_to_ocv_err_r: float
 
 
-def run_criteria_study(
-    scenario: ScenarioConfig, reps: int | None = None, threads: int = 1
-) -> list[CriteriaMseRow]:
+def run_criteria_study(scenario: ScenarioConfig, threads: int = 1) -> list[CriteriaMseRow]:
     """Score RCp, RCpHat, GCV, RCpPlus and OCV against errR_rep and ErrR.
 
     Least squares is fit per replicate with the scenario's known noise
     variance used where a criterion needs it; the same fit and test draw
     score every method, so the comparison is paired.  errR_rep is the
     replicate's own conditional error; ErrR is estimated as the mean of
-    errR_rep over all ``reps`` replicates.  When least squares is unbiased,
+    errR_rep over all ``scenario.reps`` replicates.  When least squares is unbiased,
     no function of RSS alone can score an MSE below Var(errR_rep) against
     errR_rep, because RSS is independent of the noise in the fitted
     coefficients that makes most of that variance.
     """
-    reps = scenario.reps if reps is None else int(reps)
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
+    reps = scenario.reps
     n, p = scenario.n, scenario.p
     if n <= p + 1:
         raise ValueError("criteria study needs n > p + 1")
@@ -259,25 +243,6 @@ def ridge_ratio_limit_normal(n: int, p: int) -> float:
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
     return n / (n + p + 1.0)
-
-
-def ridge_ratio_limit_mc(
-    model: CovariateModel, n: int, reps: int, seed: int = 0
-) -> float:
-    """Monte Carlo version of the infinite-penalty limit for any row law."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    p = model.p
-    sum_G = np.zeros((p, p))
-    sum_G2 = np.zeros((p, p))
-    for r in range(reps):
-        X = draw_covariates(model, n, stream(seed, r, TRAIN))
-        G = X.T @ X
-        sum_G += G
-        sum_G2 += G @ G
-    mean_G = sum_G / reps
-    mean_G2 = sum_G2 / reps
-    return float(np.trace(mean_G @ mean_G) / np.trace(mean_G2))
 
 
 def run_ridge_ratio_study(

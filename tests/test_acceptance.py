@@ -17,7 +17,6 @@ from randomx_eval.criteria import (
     ocv,
     rcp,
     rcp_hat,
-    rcp_plus_from_ocv,
     vplus_asymptotic,
     vplus_normal_exact,
 )
@@ -35,6 +34,7 @@ from randomx_eval.datagen import (
 from randomx_eval.decomp import conditional_moments, estimate_decomposition
 from randomx_eval.experiments import ScenarioConfig, run_criteria_study, run_ridge_ratio_study
 from randomx_eval.smoothers import SmootherSpec, fit
+from test_criteria import rcp_plus_from_ocv
 
 SIGMA = 20.0
 REPS = 2000

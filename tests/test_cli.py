@@ -241,6 +241,21 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", "--config", str(path))
         assert code == 2 and "scenarios[0].covariates.rho" in err
 
+    @pytest.mark.parametrize("covariates, mean, field", [
+        ({"variant": "scaled_product", "sigma_half": [[1, "x"], [0, 1]]},
+         {"variant": "linear_sum"}, "scenarios[0].covariates"),
+        ({"variant": "isotropic_normal"},
+         {"variant": "linear_beta", "beta": [1, [2]]}, "scenarios[0].mean"),
+        ({"variant": "isotropic_normal"},
+         {"variant": "linear_beta", "beta": [1, 2, 3]}, "scenarios[0]"),
+    ], ids=["sigma_half_not_numeric", "beta_ragged", "beta_length_not_p"])
+    def test_bad_model_value_is_config_error(self, tmp_path, capsys, covariates, mean, field):
+        config = write_config(
+            tmp_path, p=2, scenarios=[{"name": "bad", "covariates": covariates, "mean": mean}]
+        )
+        code, _, err = run_cli(capsys, "decompose", "--config", config)
+        assert code == 2 and err.startswith(f"error: config field '{field}':")
+
     def test_underdetermined_fit_is_numeric_failure(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -267,6 +282,11 @@ class TestCriteria:
         assert [r[1] for r in rows[:5]] == list(CRITERIA_METHODS)
         ocv_rows = [r for r in rows if r[1] == "OCV"]
         assert all(r[5] == "1" for r in ocv_rows)
+
+    def test_too_few_rows_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, n=10, p=9)
+        code, _, err = run_cli(capsys, "criteria", "--config", config)
+        assert code == 2 and "n > p + 1" in err
 
     def test_rejects_non_ls_smoother(self, tmp_path, capsys):
         config = write_config(tmp_path, smoother={"variant": "knn", "k": 3})

@@ -17,12 +17,29 @@ from randomx_eval.criteria import (
     optr_asymptotic,
     rcp,
     rcp_hat,
-    rcp_plus_from_ocv,
     vplus_asymptotic,
     vplus_normal_exact,
 )
+from randomx_eval.criteria import LEVERAGE_TOL, _check_scalars
 from randomx_eval.errors import DimensionError, DomainError, LeverageOne
 from randomx_eval.smoothers import SmootherSpec, fit
+
+
+def rcp_plus_from_ocv(ocv_value: float, hat_diag, n: int, p: int, sigma2: float) -> float:
+    """rcp_plus rewritten around OCV (an algebraic identity, not a new method).
+
+    ``OCV - (sigma2/n) sum h_ii/(1-h_ii) + (sigma2 p/n)(1 + (p+1)/(n-p-1))``.
+    Used to cross-check ``rcp + bplus_hat``; the two agree to round-off.
+    """
+    h = np.asarray(hat_diag, dtype=float)
+    if np.any(h >= 1.0 - LEVERAGE_TOL):
+        raise LeverageOne("a leverage is numerically 1")
+    _check_scalars(0.0, n, p, sigma2)
+    if p >= n - 1:
+        raise DimensionError(f"need p < n - 1, got n={n}, p={p}")
+    penalty = (sigma2 / n) * float(np.sum(h / (1.0 - h)))
+    head = sigma2 * (p / n) * (1.0 + (p + 1.0) / (n - p - 1.0))
+    return ocv_value - penalty + head
 
 
 def loo_refit_ocv(X, Y, lam=0.0):

@@ -10,6 +10,7 @@ matrices, without noise.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randomx_eval._pool import run_replicates
-from randomx_eval.datagen import CovariateModel, MeanModel, NoiseModel
+from randomx_eval.datagen import (
+    TRAIN,
+    CovariateModel,
+    MeanModel,
+    NoiseModel,
+    draw_covariates,
+    stream,
+)
 from randomx_eval.decomp import (
     ConditionalMoments,
     conditional_moments,
-    eigen_mp_check,
     estimate_decomposition,
     ocv_conditional,
 )
@@ -324,10 +331,10 @@ class TestEstimateDecomposition:
         assert err.value.replicate == 0 and err.value.seed == 77
 
     def test_reps_override_and_floor(self):
-        est = estimate_decomposition(_scenario(), SmootherSpec.least_squares(), reps=10)
+        est = estimate_decomposition(replace(_scenario(), reps=10), SmootherSpec.least_squares())
         assert est.reps == 10
         with pytest.raises(ValueError):
-            estimate_decomposition(_scenario(), SmootherSpec.least_squares(), reps=1)
+            estimate_decomposition(replace(_scenario(), reps=1), SmootherSpec.least_squares())
 
 
 # --------------------------------------------------------------------------
@@ -385,6 +392,29 @@ class TestOcvConditional:
 # --------------------------------------------------------------------------
 # spectral check
 # --------------------------------------------------------------------------
+
+def eigen_mp_check(
+    n: int, p: int, model: CovariateModel, reps: int, seed: int = 0
+) -> float:
+    """Mean inverse eigenvalue of X'X/n, averaged over draws.
+
+    For i.i.d. zero-mean unit-variance entries this approaches
+    ``1/(1 - gamma)`` with ``gamma = p/n`` as n grows — the spectral fact
+    behind the asymptotic excess variance ``sigma2 gamma^2 / (1 - gamma)``.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    if not 1 <= p < n:
+        raise ValueError("need 1 <= p < n")
+    vals = np.empty(reps)
+    for r in range(reps):
+        X = draw_covariates(model, n, stream(seed, r, TRAIN))
+        eig = np.linalg.eigvalsh(X.T @ X / n)
+        if np.any(eig <= 0):
+            raise RankDeficient("singular draw in eigen check")
+        vals[r] = np.mean(1.0 / eig)
+    return float(np.mean(vals))
+
 
 class TestEigenMpCheck:
     def test_normal_entries_approach_limit(self):

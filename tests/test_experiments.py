@@ -1,5 +1,7 @@
 """Tests for the simulation studies and their targets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,13 +23,31 @@ from randomx_eval.experiments import (
     CriteriaMseRow,
     ScenarioConfig,
     err_r_target,
-    ridge_ratio_limit_mc,
     ridge_ratio_limit_normal,
     run_criteria_study,
     run_decomposition_study,
     run_ridge_ratio_study,
 )
 from randomx_eval.smoothers import SmootherSpec, fit
+
+
+def ridge_ratio_limit_mc(
+    model: CovariateModel, n: int, reps: int, seed: int = 0
+) -> float:
+    """Monte Carlo version of the infinite-penalty limit for any row law."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    p = model.p
+    sum_G = np.zeros((p, p))
+    sum_G2 = np.zeros((p, p))
+    for r in range(reps):
+        X = draw_covariates(model, n, stream(seed, r, TRAIN))
+        G = X.T @ X
+        sum_G += G
+        sum_G2 += G @ G
+    mean_G = sum_G / reps
+    mean_G2 = sum_G2 / reps
+    return float(np.trace(mean_G @ mean_G) / np.trace(mean_G2))
 
 
 def small_scenario(n=30, p=3, reps=150, **kw):
@@ -49,13 +69,6 @@ class TestScenarioConfig:
     def test_p_comes_from_covariate_model(self):
         assert small_scenario(p=7).p == 7
 
-    def test_override_replaces_only_what_is_given(self):
-        sc = small_scenario()
-        assert sc.override(reps=9).reps == 9
-        assert sc.override(reps=9).seed == sc.seed
-        assert sc.override(seed=4).seed == 4
-        assert sc.override() == sc
-
     def test_validation(self):
         with pytest.raises(ValueError):
             small_scenario(n=1)
@@ -65,6 +78,8 @@ class TestScenarioConfig:
             small_scenario(reps=1)
         with pytest.raises(ValueError):
             small_scenario(seed=-1)
+        with pytest.raises(ValueError):
+            small_scenario(p=3, mean=MeanModel.linear_beta(np.ones(2)))
 
 
 class TestErrRTarget:
@@ -100,15 +115,15 @@ class TestErrRTarget:
 class TestDecompositionStudy:
     def test_pairs_scenarios_with_estimates(self):
         scenarios = [small_scenario(name="a"), small_scenario(name="b", seed=12)]
-        out = run_decomposition_study(scenarios, reps=40)
+        out = run_decomposition_study([replace(sc, reps=40) for sc in scenarios])
         assert [sc.name for sc, _ in out] == ["a", "b"]
         for _, est in out:
             assert est.reps == 40 and est.se_Vplus > 0
 
     def test_standard_errors_shrink_like_root_reps(self):
         sc = small_scenario(n=40, p=5, covariates=CovariateModel.copula_uniform(5, 1, 0.3))
-        half = estimate_decomposition(sc, SmootherSpec.least_squares(), reps=300)
-        full = estimate_decomposition(sc, SmootherSpec.least_squares(), reps=600)
+        half = estimate_decomposition(replace(sc, reps=300), SmootherSpec.least_squares())
+        full = estimate_decomposition(replace(sc, reps=600), SmootherSpec.least_squares())
         ratio = half.se_Vplus**2 / full.se_Vplus**2
         assert 1.4 <= ratio <= 2.6
 
@@ -137,7 +152,7 @@ def replay_criteria_study(sc, reps):
 
 class TestCriteriaStudy:
     def setup_method(self):
-        self.rows = run_criteria_study(small_scenario(), reps=150)
+        self.rows = run_criteria_study(replace(small_scenario(), reps=150))
 
     def test_row_structure(self):
         assert [r.method for r in self.rows] == list(CRITERIA_METHODS)
@@ -179,7 +194,7 @@ class TestCriteriaStudy:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_criteria_study(small_scenario(), reps=1)
+            run_criteria_study(replace(small_scenario(), reps=1))
         with pytest.raises(ValueError):
             run_criteria_study(small_scenario(n=5, p=4))
 

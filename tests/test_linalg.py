@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from randomx_eval.errors import NoConvergence, NotPositiveDefinite, RankDeficient
+from randomx_eval.errors import NotPositiveDefinite, RankDeficient
 from randomx_eval.linalg import _cholesky_spd
 from randomx_eval.smoothers import SmootherSpec, fit
 
@@ -110,7 +110,3 @@ class TestHatDiagonal:
     def test_negative_ridge_rejected(self):
         with pytest.raises(ValueError):
             hat_diagonal(np.eye(3), ridge=-1.0)
-
-
-def test_no_convergence_is_runtime_error():
-    assert issubclass(NoConvergence, RuntimeError)
