@@ -38,7 +38,9 @@ import io
 import json
 import os
 import platform
+import re
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -271,6 +273,8 @@ def _load_study(args) -> tuple[list[ScenarioConfig], SmootherSpec, bytes, int]:
     obj = _get(doc, "smoother", dict, required=False)
     smoother = (SmootherSpec.least_squares() if obj is None
                 else _model(SmootherSpec, obj, "smoother", _SMOOTHER_FIELDS))
+    if smoother.variant == "knn" and smoother.k > n:
+        raise ConfigError(f"k={smoother.k} exceeds n={n}", field="smoother")
     return scenarios, smoother, raw, threads
 
 
@@ -365,29 +369,91 @@ def cmd_ridge_ratio(args):
     return header, rows, params if raw is None else raw, seed, threads
 
 
+#: How `np.loadtxt` reads the rows of an ``eval`` CSV: comma-separated, fields
+#: optionally in double quotes, no comment lines; blank lines are skipped.
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
+
+# One record as `np.loadtxt` splits it: a field that opens with a double quote
+# runs to its closing quote ("" is a literal quote), line breaks included.
+_FIELD = r'(?:"(?:[^"]|"")*"?[^,\n]*|[^,\n]*)'
+_RECORD = re.compile(rf"{_FIELD}(?:,{_FIELD})*\n?")
+
+
+def _loadtxt(text, dtype=float) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(text, dtype=dtype, **_LOADTXT)
+
+
 def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Covariates and response of an ``eval`` CSV.
+
+    The header row is read with `csv` and the data rows with one call of
+    numpy's C reader.  Only when that call fails, or its result has the wrong
+    width or a non-finite value, is the file read again, record by record, to
+    name the first offending row.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = list(csv.reader(fh))
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            width = len(next(reader, []))
+            if width < 2:
+                raise ParseError("need a header with at least one covariate column and a response",
+                                 row=1)
+            first_row = reader.line_num + 1
+            try:
+                data = _loadtxt(fh)
+            except ValueError:
+                data = None
+        if data is not None and len(data) == 0:
+            raise ParseError("need at least one data row", row=first_row)
+        if data is None or data.shape[1] != width or not np.all(np.isfinite(data)):
+            raise _bad_row(path, width)
     except OSError as exc:
         raise ParseError(f"cannot read data file: {exc}") from exc
-    if len(reader) < 2:
-        raise ParseError("need a header row and at least one data row")
-    width = len(reader[0])
-    if width < 2:
-        raise ParseError("need at least one covariate column and a response", row=1)
-    data = []
-    for i, row in enumerate(reader[1:], start=2):
-        if len(row) != width:
-            raise ParseError(f"expected {width} columns, got {len(row)}", row=i)
-        try:
-            data.append([float(v) for v in row])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric value ({exc})", row=i) from exc
-    arr = np.asarray(data, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ParseError("non-finite value in data")
-    return arr[:, :-1], arr[:, -1]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"data file is not UTF-8 text ({exc})") from exc
+    return data[:, :-1], data[:, -1]
+
+
+def _bad_row(path: str, width: int) -> ParseError:
+    """The error naming the first data record `np.loadtxt` rejects, or that has
+    other than ``width`` values, or a non-finite one."""
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        row, body = reader.line_num + 1, fh.read()
+    pos = 0
+    while pos < len(body):
+        record = _RECORD.match(body, pos).group()
+        pos += len(record)
+        problem = _record_problem(record, width)
+        if problem is not None:
+            return ParseError(problem, row=row)
+        row += record.count("\n")
+    return ParseError("malformed data")
+
+
+def _record_problem(record: str, width: int) -> str | None:
+    """What is wrong with one record, judged by `np.loadtxt` itself; None if nothing."""
+    try:
+        values = _loadtxt(io.StringIO(record))
+    except ValueError:
+        cells = [str(cell) for cell in _loadtxt(io.StringIO(record), str)[0]]
+        if len(cells) != width:
+            return f"expected {width} columns, got {len(cells)}"
+        for j, cell in enumerate(cells, start=1):
+            try:
+                _loadtxt(io.StringIO('"%s"' % cell.replace('"', '""')))
+            except ValueError:
+                return f"non-numeric value {cell!r} in column {j}"
+        return "malformed record"
+    if values.size == 0:  # a blank line
+        return None
+    if values.shape[1] != width:
+        return f"expected {width} columns, got {values.shape[1]}"
+    bad = np.flatnonzero(~np.isfinite(values[0]))
+    return f"non-finite value in column {bad[0] + 1}" if bad.size else None
 
 
 def cmd_eval(args):

@@ -29,6 +29,7 @@ nothing and keeps the libraries' own BLAS threading.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,8 +176,12 @@ def block_correlation(p: int, blocks: int, rho: float) -> np.ndarray:
     return sigma
 
 
-def _block_chol(model: CovariateModel) -> np.ndarray:
-    return np.linalg.cholesky(block_correlation(model.p, model.blocks, model.rho))
+@functools.lru_cache(maxsize=64)
+def _block_chol(p: int, blocks: int, rho: float) -> np.ndarray:
+    """Cholesky factor of `block_correlation`, computed once per ``(p, blocks, rho)``; read-only."""
+    L = np.linalg.cholesky(block_correlation(p, blocks, rho))
+    L.flags.writeable = False
+    return L
 
 
 def draw_covariates(model: CovariateModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -197,7 +202,7 @@ def draw_covariates(model: CovariateModel, n: int, rng: np.random.Generator) -> 
             return Z
         return Z @ model.sigma_half
     # block-correlated normal, possibly pushed through a copula
-    L = _block_chol(model)
+    L = _block_chol(p, model.blocks, model.rho)
     G = rng.standard_normal((n, p)) @ L.T
     if model.variant == "normal_block":
         return G
@@ -354,8 +359,38 @@ def draw_training_set(
 # quantiles
 # --------------------------------------------------------------------------
 
+#: Values per block of `_quantile_t4`: its temporaries stay a few cache-sized
+#: blocks, so the quantile needs no memory beyond its output.
+_T4_BLOCK = 8192
+
+
+def _quantile_t4(u: np.ndarray) -> np.ndarray:
+    """Closed-form t(4) quantile of a 1-D array (Shaw 2006, J. Comput. Finance 9(4)).
+
+    With d = 2u - 1, c = 2 sqrt(u (1 - u)) and a = atan2(|d|, c) / 3,
+    q = sign(d) 4 sin(a) sqrt(cos(a) / c): Shaw's
+    2 sqrt(cos(arccos(c) / 3) / c - 1) rewritten without its cancellation
+    at u near 1/2.
+    """
+    q = np.empty_like(u)
+    for start in range(0, u.size, _T4_BLOCK):
+        v = u[start:start + _T4_BLOCK]
+        d = 2.0 * v - 1.0
+        c = 2.0 * np.sqrt(v * (1.0 - v))
+        a = np.arctan2(np.abs(d), c) / 3.0
+        np.copysign(4.0 * np.sin(a) * np.sqrt(np.cos(a) / c), d, out=q[start:start + _T4_BLOCK])
+    return q
+
+
 def quantile_t(u, df: float):
     """Quantile of Student's t with ``df`` degrees of freedom.
+
+    For ``df == 4`` (the ``copula_t4`` marginal) the quantile is Shaw's
+    closed form: against 40-digit arithmetic its relative error measured at
+    most 4.4e-16 for u spread over (0, 1), within 1e-12 of 1/2 and down to
+    1e-300.  Other ``df`` use `scipy.special.stdtrit`, which at df = 4 was
+    off by up to 2.2e-12 relative and returned 0.0 at u = 0.5 + 1e-9, where
+    the quantile is 2.7e-9.
 
     Parameters
     ----------
@@ -367,7 +402,7 @@ def quantile_t(u, df: float):
     Returns
     -------
     float or array
-        Value q with t-CDF(q; df) = u, accurate well beyond 1e-10.
+        Value q with t-CDF(q; df) = u.
 
     Raises
     ------
@@ -379,7 +414,10 @@ def quantile_t(u, df: float):
     arr = np.asarray(u, dtype=float)
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("u must lie strictly inside (0, 1)")
-    q = scipy.special.stdtrit(df, arr)
+    if df == 4:
+        q = _quantile_t4(arr.reshape(-1)).reshape(arr.shape)
+    else:
+        q = scipy.special.stdtrit(df, arr)
     if np.isscalar(u) or arr.ndim == 0:
         return float(q)
     return q

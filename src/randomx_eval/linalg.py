@@ -2,15 +2,18 @@
 
 `smoothers._factorize` factors the (possibly ridge-shifted) Gram matrix
 X'X + lam I, or the kernel system K + lam I, through `_cholesky_spd` once per
-training design.  Rank deficiency is flagged by a pivot threshold relative to
-the largest diagonal entry rather than by LAPACK's hard failure alone, so
+training design, and every solve with it goes through `_cho_solve`.  Both
+call LAPACK's ``dpotrf``/``dpotrs`` directly, as `scipy.linalg.cho_factor`
+and `scipy.linalg.cho_solve` do, without their per-call argument handling.
+Rank deficiency is flagged by a pivot threshold relative to the largest
+diagonal entry rather than by LAPACK's hard failure alone, so
 nearly-singular designs fail loudly instead of returning garbage.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NotPositiveDefinite
 
@@ -21,7 +24,8 @@ PIVOT_RTOL = 1e-10
 def _cholesky_spd(A: np.ndarray):
     """Lower Cholesky factor of a symmetric matrix, with pivot screening.
 
-    Returns the ``(c, lower)`` pair that `scipy.linalg.cho_solve` takes.
+    Returns the ``(c, lower)`` pair that `_cho_solve` and
+    `scipy.linalg.cho_solve` take.
 
     Raises
     ------
@@ -29,14 +33,19 @@ def _cholesky_spd(A: np.ndarray):
         If LAPACK rejects the matrix or any pivot falls at or below
         ``PIVOT_RTOL * max(diag(A))``.
     """
-    try:
-        c, low = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    c, info = dpotrf(A, lower=1, clean=0)
+    if info:
+        raise NotPositiveDefinite(f"leading minor {info} is not positive definite")
     pivots = np.diag(c) ** 2
     tol = PIVOT_RTOL * max(float(np.max(np.diag(A))), 0.0)
     if np.any(pivots <= tol):
         raise NotPositiveDefinite(
             f"Cholesky pivot {pivots.min():.3e} at or below threshold {tol:.3e}"
         )
-    return c, low
+    return c, True
+
+
+def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for the ``factor`` of A returned by `_cholesky_spd`; b is a vector or a matrix."""
+    c, lower = factor
+    return dpotrs(c, b, lower=lower)[0]

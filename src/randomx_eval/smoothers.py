@@ -41,11 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .datagen import TrainingSet
 from .errors import DegenerateNeighbors, NotPositiveDefinite, RankDeficient
-from .linalg import _cholesky_spd
+from .linalg import _cho_solve, _cholesky_spd
 
 __all__ = [
     "SmootherSpec",
@@ -183,7 +182,7 @@ class _Operator:
         if self.spec.variant == "knn":
             return y
         rhs = y if self.spec.variant == "kernel_ridge" else self.X.T @ y
-        return scipy.linalg.cho_solve(self.factor, rhs, check_finite=False)
+        return _cho_solve(self.factor, rhs)
 
     def apply(self, c: np.ndarray, X0: np.ndarray | None = None, sigma2: float | None = None):
         """``(L(X0) y, sigma2 ||L(X0)||_F^2 / m)`` for c = solve(y); X0 ``None`` means X.
@@ -205,7 +204,7 @@ class _Operator:
         n, p = X.shape
         if not kernel and spec.lam == 0.0 and X0 is None:
             return out, sigma2 * p / n
-        W = scipy.linalg.cho_solve(self.factor, B.T, check_finite=False)  # A^-1 B'
+        W = _cho_solve(self.factor, B.T)  # A^-1 B'
         if kernel:
             sq = np.sum(W * W)  # L(X0)' = W
         elif spec.lam == 0.0:
@@ -220,9 +219,9 @@ class _Operator:
         if self.spec.variant == "knn":
             return np.full(len(self.X), 1.0 / self.spec.k)
         if self.spec.variant == "kernel_ridge":
-            h = np.diag(scipy.linalg.cho_solve(self.factor, self.K, check_finite=False))
+            h = np.diag(_cho_solve(self.factor, self.K))
         else:
-            W = scipy.linalg.cho_solve(self.factor, self.X.T, check_finite=False)
+            W = _cho_solve(self.factor, self.X.T)
             h = np.einsum("ij,ji->i", self.X, W)
         return np.clip(h, 0.0, None)
 

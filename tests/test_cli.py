@@ -5,15 +5,18 @@ import hashlib
 import io
 import json
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randomx_eval._pool import USER_BLAS_ENV, _blas_pools, blas_threads
-from randomx_eval.cli import bundled_config_path, main
+from randomx_eval.cli import _read_dataset, bundled_config_path, main
 from randomx_eval.criteria import criteria_report
-from randomx_eval.errors import ConfigError
+from randomx_eval.errors import ConfigError, ParseError
 from randomx_eval.experiments import CRITERIA_METHODS
 from randomx_eval.smoothers import SmootherSpec, fit
 
@@ -160,6 +163,79 @@ class TestEval:
         assert manifest["threads"] == 1 and manifest["blas_threads"] == 3
 
 
+# Ways a double may be written in an eval CSV.
+_FORMATS = (repr, lambda x: "%.17g" % x, lambda x: "%.6e" % x)
+
+
+class TestReadDataset:
+    """`eval`'s CSV reader: numpy's C reader for the rows, a locator for bad ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.integers(2, 4).flatmap(lambda width: st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=width, max_size=width),
+            min_size=1, max_size=5,
+        )),
+        fmt=st.sampled_from(_FORMATS),
+        quoted=st.booleans(),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_doubles_read_back_bit_identical(self, tmp_path_factory, values, fmt, quoted, newline):
+        width = len(values[0])
+        cells = [[fmt(v) for v in row] for row in values]
+        expected = np.array([[float(c) for c in row] for row in cells])
+        if quoted:
+            cells = [['"%s"' % c for c in row] for row in cells]
+        lines = [",".join(f"c{j}" for j in range(width))] + [",".join(row) for row in cells]
+        path = tmp_path_factory.mktemp("read") / "data.csv"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        X, Y = _read_dataset(str(path))
+        got = np.column_stack([X, Y])
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("x,y\n\n1,2\n\n\n3,4\n\n")
+        X, Y = _read_dataset(str(path))
+        assert X.tolist() == [[1.0], [3.0]] and Y.tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("text, row, words", [
+        ("x,y\n1,2\n\n3\n", 4, "expected 2 columns, got 1"),  # ragged, after a blank line
+        ("x,y,z\n1,2\n3,4\n", 2, "expected 3 columns, got 2"),  # every row too narrow
+        ("x,y\r\n1,2\r\n3,4\r\n5,oops\r\n", 4, "'oops' in column 2"),  # non-numeric
+        ("x,y\n", 2, "at least one data row"),  # empty body
+        ("x,y\n\n\n", 2, "at least one data row"),  # only blank lines
+        ("x,y\n1,2\n1_000,4\n", 3, "'1_000' in column 1"),  # float() would take it
+        ('x,y\n"1\n",2\n3,inf\n', 4, "non-finite value in column 2"),  # after a two-line record
+        ("x\n1\n", 1, "covariate column"),  # header too narrow
+    ])
+    def test_bad_file_names_row(self, tmp_path, capsys, text, row, words):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as info:
+            _read_dataset(str(path))
+        assert info.value.row == row and words in str(info.value)
+        code, _, err = run_cli(capsys, "eval", str(path))
+        assert code == 2 and f"row {row}:" in err
+
+    def test_peak_memory_tracks_the_data(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "big.csv"
+        header = ",".join(f"c{j}" for j in range(51))
+        np.savetxt(path, rng.standard_normal((2000, 51)), fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        tracemalloc.start()
+        try:
+            X, Y = _read_dataset(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (2000, 50)
+        assert peak <= 3 * (X.nbytes + Y.nbytes)
+
+
 class TestDecompose:
     def test_stdout_table(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -269,6 +345,13 @@ class TestDecompose:
         )
         code, _, err = run_cli(capsys, "decompose", "--config", config)
         assert code == 3 and "replicate" in err
+
+    def test_knn_k_above_n_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, smoother={"variant": "knn", "k": 50})
+        code, _, err = run_cli(capsys, "decompose", "--config", config)
+        assert code == 2 and "'smoother'" in err and "k=50 exceeds n=20" in err
+        config = write_config(tmp_path, reps=2, smoother={"variant": "knn", "k": 20})
+        assert run_cli(capsys, "decompose", "--config", config)[0] == 0
 
 
 class TestCriteria:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randomx_eval.datagen import (
     NOISE,
@@ -81,6 +83,32 @@ class TestQuantileT:
     def test_vectorized(self):
         q = quantile_t(np.array([0.25, 0.75]), 4.0)
         assert q.shape == (2,) and q[0] == pytest.approx(-q[1], rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=st.one_of(
+        st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+        st.floats(min_value=-1e-12, max_value=1e-12).map(lambda d: 0.5 + d),
+        st.floats(min_value=0.0, max_value=300.0).map(lambda e: 10.0 ** -e),
+        st.floats(min_value=1e-16, max_value=1e-3).map(lambda e: 1.0 - e),
+    ).filter(lambda u: 0.0 < u < 1.0))
+    def test_t4_matches_mpmath(self, u):
+        """Relative error of the t(4) quantile against 40-digit arithmetic, at every u."""
+        mpmath = pytest.importorskip("mpmath")
+        q = quantile_t(u, 4.0)
+        with mpmath.workdps(40):
+            uq, t = mpmath.mpf(u), mpmath.mpf(q)
+            if t == 0:
+                assert uq == mpmath.mpf(0.5)
+                return
+            # the t(4) CDF minus u: a closed form near 0, the incomplete beta in the tails
+            if abs(t) < 1:
+                excess = t * (t**2 + 6) / (2 * (t**2 + 4) ** 1.5) - (uq - mpmath.mpf(0.5))
+            else:
+                tail = mpmath.betainc(2, 0.5, 0, 4 / (4 + t**2), regularized=True) / 2
+                excess = (uq if t < 0 else 1 - uq) - tail
+            density = mpmath.mpf(3) / 8 * (1 + t**2 / 4) ** -2.5
+            rel = abs(excess / (density * t))  # one Newton step: |q - q_exact| / |q|
+        assert rel <= 4e-15
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
