@@ -14,18 +14,17 @@ from randomx_eval import (
     NoiseModel,
     SmootherSpec,
     criteria_report,
-    draw_training_set,
+    draw_covariates,
+    draw_response,
     fit,
     predict,
     stream,
 )
 
 n, p, sigma = 60, 8, 1.5
-ts = draw_training_set(
-    CovariateModel.normal_block(p, 2, 0.6), MeanModel.linear_sum(),
-    NoiseModel(sigma), n, stream(7, 0, 0), stream(7, 0, 1),
-)
-fitted = fit(SmootherSpec.least_squares(), ts)
+X = draw_covariates(CovariateModel.normal_block(p, 2, 0.6), n, stream(7, 0, 0))
+Y, _ = draw_response(X, MeanModel.linear_sum(), NoiseModel(sigma), stream(7, 0, 1))
+fitted = fit(SmootherSpec.least_squares(), X, Y)
 
 rep = criteria_report(fitted, sigma2=sigma**2)
 print(f"least squares fit, n={n}, p={p}, true sigma2={sigma**2:g}\n")
@@ -49,8 +48,8 @@ print(f"\nwithout sigma2: rcp_hat={blind.rcp_hat:.4f} "
 errs = np.empty(n)
 for i in range(n):
     keep = np.arange(n) != i
-    held_out = fit(SmootherSpec.least_squares(), ts.X[keep], ts.Y[keep])
-    errs[i] = ts.Y[i] - predict(held_out, ts.X[i : i + 1])[0]
+    held_out = fit(SmootherSpec.least_squares(), X[keep], Y[keep])
+    errs[i] = Y[i] - predict(held_out, X[i : i + 1])[0]
 literal = float(np.mean(errs**2))
 print(f"\nOCV shortcut {rep.ocv:.12f} vs {n} literal refits {literal:.12f}")
 print(f"relative gap {abs(rep.ocv - literal) / literal:.2e}")

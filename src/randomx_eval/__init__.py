@@ -24,10 +24,8 @@ from .datagen import (
     CovariateModel,
     MeanModel,
     NoiseModel,
-    TrainingSet,
     draw_covariates,
     draw_response,
-    draw_training_set,
     quantile_t,
     stream,
 )
@@ -54,8 +52,8 @@ from .smoothers import FittedSmoother, SmootherSpec, fit, neighbor_sets, predict
 __all__ = [
     "__version__",
     # datagen
-    "CovariateModel", "MeanModel", "NoiseModel", "TrainingSet",
-    "draw_covariates", "draw_response", "draw_training_set", "quantile_t", "stream",
+    "CovariateModel", "MeanModel", "NoiseModel",
+    "draw_covariates", "draw_response", "quantile_t", "stream",
     # smoothers
     "SmootherSpec", "FittedSmoother", "fit", "predict", "neighbor_sets",
     # criteria

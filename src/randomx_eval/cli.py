@@ -11,8 +11,9 @@ Subcommands
 
 The study subcommands take ``--config`` (optional for ``ridge-ratio``, which
 also takes ``--n``, ``--p`` and ``--lambda-min/max/points``), ``--seed``,
-``--reps`` and ``--threads`` (``RANDOMX_EVAL_THREADS`` is its fallback); a
-flag given overrides the config's value.  ``eval`` takes the data file,
+``--reps`` and ``--threads`` (default 1); a flag given overrides the config's
+value.  A config key the subcommand does not know is an error, so a misspelt
+field cannot silently take its default.  ``eval`` takes the data file,
 ``--sigma2``, ``--smoother`` and ``--lam``.  Every subcommand takes ``--out``.
 Output is CSV on stdout or at ``--out``; floats are printed with 17
 significant digits so files are round-trip exact and byte-stable, and
@@ -24,9 +25,9 @@ The study subcommands run their replicate loops with BLAS on one thread
 unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; ``eval`` has
 no replicate loop and keeps the libraries' own BLAS threading.
 
-Exit codes: 0 success, 2 configuration/input error (a malformed or
-out-of-range config value, a study argument the study rejects, a bad data
-file), 3 numeric failure.
+Exit codes: 0 success, 2 configuration/input error (a malformed, unknown or
+out-of-range config key or value, an out-of-range flag, a study argument the
+study rejects, a bad data file), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -211,12 +212,24 @@ def _get(doc: dict, field: str, kind, where: str = "", required: bool = True, de
     return value
 
 
+def _check_keys(doc: dict, known, where: str = "") -> None:
+    """Reject a key outside ``known``, which would otherwise be ignored unread."""
+    for key in doc:
+        if key not in known:
+            raise ConfigError("unknown key", field=f"{where}.{key}" if where else key)
+
+
 def _pick(flag, doc: dict, key: str, kind, default):
     """The flag if given, else the config value, else the default."""
     if flag is not None:
         return flag
     return _get(doc, key, kind, required=False, default=default)
 
+
+# The keys of a study config, of one of its scenarios and of a ridge-ratio config.
+_STUDY_KEYS = ("seed", "reps", "n", "p", "test_m", "sigma", "scenarios", "smoother")
+_SCENARIO_KEYS = ("name", "covariates", "mean")
+_RIDGE_KEYS = ("seed", "n", "p", "reps", "lambda_min", "lambda_max", "lambda_points")
 
 # Optional fields of each model's config object, after its ``variant``.
 _COVARIATE_FIELDS = (("blocks", int), ("rho", float), ("base", str), ("sigma_half", list))
@@ -230,6 +243,7 @@ def _model(cls, obj: dict, where: str, keys, *args):
     The constructor checks every value and converts ``sigma_half`` and
     ``beta`` to arrays; a value it rejects is a `ConfigError` naming ``where``.
     """
+    _check_keys(obj, ("variant", *(key for key, _ in keys)), where)
     variant = _get(obj, "variant", str, where)
     fields = {key: _get(obj, key, kind, where) for key, kind in keys if key in obj}
     try:
@@ -242,6 +256,7 @@ def _load_study(args) -> tuple[list[ScenarioConfig], SmootherSpec, bytes, int]:
     """Scenarios, smoother, config bytes and threads of a ``decompose``/``criteria`` run."""
     threads = _resolve_threads(args)
     doc, raw = _load_json(args.config)
+    _check_keys(doc, _STUDY_KEYS)
     n = _get(doc, "n", int)
     p = _get(doc, "p", int)
     sigma = _get(doc, "sigma", float)
@@ -261,6 +276,7 @@ def _load_study(args) -> tuple[list[ScenarioConfig], SmootherSpec, bytes, int]:
         where = f"scenarios[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError("expected object", field=where)
+        _check_keys(entry, _SCENARIO_KEYS, where)
         name = _get(entry, "name", str, where)
         cov = _model(CovariateModel, _get(entry, "covariates", dict, where),
                      f"{where}.covariates", _COVARIATE_FIELDS, p)
@@ -279,16 +295,9 @@ def _load_study(args) -> tuple[list[ScenarioConfig], SmootherSpec, bytes, int]:
 
 
 def _resolve_threads(args) -> int:
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("RANDOMX_EVAL_THREADS", "")
-        try:
-            threads = int(env or 1)
-        except ValueError as exc:
-            raise ConfigError(f"RANDOMX_EVAL_THREADS is not an integer: {env!r}") from exc
-    if threads < 1:
+    if args.threads < 1:
         raise ConfigError("threads must be >= 1")
-    return threads
+    return args.threads
 
 
 # --------------------------------------------------------------------------
@@ -343,6 +352,7 @@ def cmd_criteria(args):
 def cmd_ridge_ratio(args):
     threads = _resolve_threads(args)
     doc, raw = _load_json(args.config) if args.config else ({}, None)
+    _check_keys(doc, _RIDGE_KEYS)
     n = _pick(args.n, doc, "n", int, 300)
     p = _pick(args.p, doc, "p", int, 100)
     reps = _pick(args.reps, doc, "reps", int, 100)
@@ -458,10 +468,10 @@ def _record_problem(record: str, width: int) -> str | None:
 
 def cmd_eval(args):
     X, Y = _read_dataset(args.data)
-    if args.sigma2 is not None and args.sigma2 < 0:
-        raise ConfigError("sigma2 must be >= 0")
-    if args.smoother == "ridge" and (args.lam is None or args.lam <= 0):
-        raise ConfigError("--smoother ridge requires --lam > 0")
+    if args.sigma2 is not None and not 0 <= args.sigma2 < np.inf:
+        raise ConfigError("--sigma2 must be finite and >= 0")
+    if args.smoother == "ridge" and not 0 < (args.lam or 0) < np.inf:
+        raise ConfigError("--smoother ridge requires a finite --lam > 0")
     spec = SmootherSpec.least_squares() if args.smoother == "ls" else SmootherSpec.ridge(args.lam)
     report = criteria_report(fit(spec, X, Y), sigma2=args.sigma2)
     pairs = [("rss", report.rss), ("sigma2_hat", report.sigma2_hat)]
@@ -484,8 +494,7 @@ def _add_common(sub: argparse.ArgumentParser, config_required: bool = True) -> N
     sub.add_argument("--out", help="write CSV here instead of stdout")
     sub.add_argument("--seed", type=int, help="master seed override")
     sub.add_argument("--reps", type=int, help="replicate count override")
-    sub.add_argument("--threads", type=int,
-                     help="worker threads (default: $RANDOMX_EVAL_THREADS or 1)")
+    sub.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,11 +45,9 @@ __all__ = [
     "CovariateModel",
     "MeanModel",
     "NoiseModel",
-    "TrainingSet",
     "block_correlation",
     "draw_covariates",
     "draw_response",
-    "draw_training_set",
     "quantile_t",
 ]
 
@@ -288,36 +286,6 @@ class NoiseModel:
         return self.sigma**2
 
 
-@dataclass(frozen=True)
-class TrainingSet:
-    """One training sample: covariates, responses, and the noiseless mean."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    fX: np.ndarray
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        fX = np.asarray(self.fX, dtype=float)
-        if X.ndim != 2 or Y.shape != (X.shape[0],) or fX.shape != Y.shape:
-            raise ValueError("need X (n, p), Y (n,), fX (n,) with matching n")
-        for name, a in (("X", X), ("Y", Y), ("fX", fX)):
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} has non-finite entries")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "fX", fX)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
-
 def draw_response(
     X: np.ndarray,
     mean: MeanModel,
@@ -335,24 +303,6 @@ def draw_response(
     fX = mean.evaluate(X)
     Y = fX + noise.sigma * rng.standard_normal(X.shape[0])
     return Y, fX
-
-
-def draw_training_set(
-    covariates: CovariateModel,
-    mean: MeanModel,
-    noise: NoiseModel,
-    n: int,
-    x_rng: np.random.Generator,
-    noise_rng: np.random.Generator,
-) -> TrainingSet:
-    """Draw covariates and responses from separate streams.
-
-    Separate streams mean the covariate draw for a replicate is identical
-    whether or not responses are generated for it.
-    """
-    X = draw_covariates(covariates, n, x_rng)
-    Y, fX = draw_response(X, mean, noise, noise_rng)
-    return TrainingSet(X=X, Y=Y, fX=fX)
 
 
 # --------------------------------------------------------------------------

@@ -263,6 +263,8 @@ def run_ridge_ratio_study(
         raise ValueError("need 1 <= p < n")
     if reps < 2:
         raise ValueError("reps must be >= 2")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if lambdas is None:
         lambdas = np.logspace(0.0, 6.0, 40)
     lambdas = np.asarray(lambdas, dtype=float)

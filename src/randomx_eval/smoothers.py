@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import TrainingSet
 from .errors import DegenerateNeighbors, NotPositiveDefinite, RankDeficient
 from .linalg import _cho_solve, _cholesky_spd
 
@@ -85,8 +84,8 @@ class SmootherSpec:
                 raise ValueError("kernel ridge requires lam > 0")
             if self.kernel not in _KERNELS:
                 raise ValueError(f"unknown kernel {self.kernel!r}")
-            if self.bandwidth is not None and self.bandwidth <= 0:
-                raise ValueError("bandwidth must be > 0")
+            if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+                raise ValueError("bandwidth must be finite and > 0")
         if self.variant == "knn" and self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -140,17 +139,12 @@ class FittedSmoother:
     def residuals(self) -> np.ndarray:
         return self.train_Y - self.fitted
 
-    def predict(self, X0: np.ndarray) -> np.ndarray:
-        return predict(self, X0)
-
 
 # --------------------------------------------------------------------------
 # fitting
 # --------------------------------------------------------------------------
 
 def _as_xy(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(X, TrainingSet) and Y is None:
-        X, Y = X.X, X.Y
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.shape != (X.shape[0],):
@@ -259,13 +253,13 @@ def _factorize(spec: SmootherSpec, X: np.ndarray) -> _Operator:
     return _Operator(spec, X, factor)
 
 
-def fit(spec: SmootherSpec, X, Y=None) -> FittedSmoother:
+def fit(spec: SmootherSpec, X, Y) -> FittedSmoother:
     """Train a smoother.
 
     Parameters
     ----------
     spec : SmootherSpec
-    X, Y : (n, p) and (n,) arrays, or a single `TrainingSet`
+    X, Y : (n, p) and (n,) arrays
 
     Returns
     -------

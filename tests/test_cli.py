@@ -108,6 +108,15 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", path, "--smoother", "ridge")
         assert code == 2 and "--lam" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--sigma2", "nan"), ("--sigma2", "inf"), ("--sigma2", "-1"),
+        ("--smoother", "ridge", "--lam", "nan"), ("--smoother", "ridge", "--lam", "inf"),
+    ])
+    def test_flag_out_of_range_is_config_error(self, tmp_path, capsys, flags):
+        path, _, _ = write_dataset(tmp_path)
+        code, _, err = run_cli(capsys, "eval", path, *flags)
+        assert code == 2 and err.startswith("error:") and flags[-2] in err
+
     def test_non_numeric_cell_names_row(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\noops,4\n")
@@ -283,16 +292,6 @@ class TestDecompose:
         _, more_reps, _ = run_cli(capsys, "decompose", "--config", config, "--reps", "40")
         assert base != reseeded and base != more_reps
 
-    def test_env_var_thread_fallback(self, tmp_path, capsys, monkeypatch):
-        config = write_config(tmp_path)
-        _, base, _ = run_cli(capsys, "decompose", "--config", config)
-        monkeypatch.setenv("RANDOMX_EVAL_THREADS", "2")
-        _, threaded, _ = run_cli(capsys, "decompose", "--config", config)
-        assert base == threaded
-        monkeypatch.setenv("RANDOMX_EVAL_THREADS", "many")
-        code, _, err = run_cli(capsys, "decompose", "--config", config)
-        assert code == 2 and "RANDOMX_EVAL_THREADS" in err
-
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -345,6 +344,33 @@ class TestDecompose:
         )
         code, _, err = run_cli(capsys, "decompose", "--config", config)
         assert code == 3 and "replicate" in err
+
+    @pytest.mark.parametrize("where, key, field", [
+        ((), "sigmaa", "sigmaa"),
+        (("scenarios", 0), "means", "scenarios[0].means"),
+        (("scenarios", 0, "covariates"), "rh0", "scenarios[0].covariates.rh0"),
+        (("scenarios", 1, "mean"), "CC", "scenarios[1].mean.CC"),
+        (("smoother",), "kk", "smoother.kk"),
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, where, key, field):
+        config = write_config(tmp_path, smoother={"variant": "knn", "k": 1})
+        assert run_cli(capsys, "decompose", "--config", config)[0] == 0
+        doc = json.loads(open(config).read())
+        obj = doc
+        for step in where:
+            obj = obj[step]
+        obj[key] = 3
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "decompose", "--config", str(path))
+        assert code == 2 and err.startswith(f"error: config field '{field}': unknown key")
+
+    def test_nan_bandwidth_is_config_error(self, tmp_path, capsys):
+        smoother = {"variant": "kernel_ridge", "lam": 1.0, "bandwidth": float("nan")}
+        config = write_config(tmp_path, smoother=smoother)
+        assert "NaN" in open(config).read()
+        code, _, err = run_cli(capsys, "decompose", "--config", config)
+        assert code == 2 and "'smoother'" in err and "bandwidth" in err
 
     def test_knn_k_above_n_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, smoother={"variant": "knn", "k": 50})
@@ -417,6 +443,17 @@ class TestRidgeRatio:
         assert code == 2 and "lambda_min" in err
         code, _, err = run_cli(capsys, "ridge-ratio", "--lambda-points", "1")
         assert code == 2 and "lambda_points" in err
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "ridge.json"
+        path.write_text(json.dumps({"n": 30, "p": 5, "reps": 4, "lambda_mn": 1.0}))
+        code, _, err = run_cli(capsys, "ridge-ratio", "--config", str(path))
+        assert code == 2 and "'lambda_mn'" in err and "unknown key" in err
+
+    def test_negative_seed_is_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "ridge-ratio", "--n", "30", "--p", "5", "--reps", "3",
+                               "--seed", "-1")
+        assert code == 2 and "seed" in err
 
     def test_p_must_be_below_n(self, capsys):
         code, _, err = run_cli(capsys, "ridge-ratio", "--n", "10", "--p", "10", "--reps", "3")

@@ -1,12 +1,14 @@
 """Tests for the covariance-penalty criteria.
 
 The OCV oracle refits the smoother n times with one row deleted; the shortcut
-must match it exactly (least squares and ridge).  Scalar criteria are pinned
-to hand-computed values.
+must match it exactly (least squares and ridge), over random n, p and lam.
+Scalar criteria are pinned to hand-computed values.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randomx_eval.criteria import (
     bplus_hat,
@@ -55,6 +57,17 @@ def loo_refit_ocv(X, Y, lam=0.0):
     return float(np.mean(out**2))
 
 
+def shapes(max_p: int, min_gap: int, max_gap: int):
+    """(n, p) with 1 <= p <= max_p and p + min_gap <= n <= p + max_gap."""
+    return st.integers(1, max_p).flatmap(
+        lambda p: st.tuples(st.integers(p + min_gap, p + max_gap), st.just(p)))
+
+
+#: n >= p + 5, so that no leave-one-out design is near singular.
+SHAPES = shapes(8, 5, 40)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
 class TestScalarCriteria:
     def test_cp_values(self):
         assert cp(0.0, 100, 50, 400.0) == pytest.approx(400.0)
@@ -69,15 +82,13 @@ class TestScalarCriteria:
     def test_rcp_hat_value(self):
         assert rcp_hat(40000.0, 100, 50) == pytest.approx(1616.3265, abs=1e-4)
 
-    def test_rcp_hat_equals_plugin_rcp(self):
-        # sigma-free form == rcp with sigma2_hat = rss/(n-p), over a random grid
-        rng = np.random.default_rng(30)
-        for _ in range(300):
-            n = int(rng.integers(5, 400))
-            p = int(rng.integers(1, n - 1))
-            rss = float(rng.uniform(0.0, 1e5))
-            plug = rcp(rss, n, p, rss / (n - p))
-            assert rcp_hat(rss, n, p) == pytest.approx(plug, rel=1e-10, abs=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(shapes(400, 2, 400), st.floats(0.0, 1e8))
+    def test_rcp_hat_equals_plugin_rcp(self, shape, rss):
+        # sigma-free form == rcp with sigma2_hat = rss/(n-p)
+        n, p = shape
+        plug = rcp(rss, n, p, rss / (n - p))
+        assert rcp_hat(rss, n, p) == pytest.approx(plug, rel=1e-10, abs=1e-12)
 
     def test_gcv_value(self):
         assert gcv(40000.0, 100, 50) == pytest.approx(1600.0)
@@ -154,18 +165,23 @@ class TestOcv:
         assert ocv(m.residuals, m.hat_diag) == pytest.approx(0.625, rel=1e-12)
         assert loo_refit_ocv(X, Y) == pytest.approx(0.625, rel=1e-10)
 
-    def test_shortcut_equals_refits_least_squares(self):
-        rng = np.random.default_rng(32)
-        X = rng.standard_normal((30, 5))
-        Y = X.sum(axis=1) + rng.standard_normal(30)
+    @settings(max_examples=100, deadline=None)
+    @given(SHAPES, SEEDS)
+    def test_shortcut_equals_refits_least_squares(self, shape, seed):
+        n, p = shape
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        Y = X.sum(axis=1) + rng.standard_normal(n)
         m = fit(SmootherSpec.least_squares(), X, Y)
         assert ocv(m.residuals, m.hat_diag) == pytest.approx(loo_refit_ocv(X, Y), rel=1e-10)
 
-    def test_shortcut_equals_refits_ridge(self):
-        rng = np.random.default_rng(33)
-        X = rng.standard_normal((25, 4))
-        Y = rng.standard_normal(25)
-        lam = 3.0
+    @settings(max_examples=100, deadline=None)
+    @given(SHAPES, SEEDS, st.floats(1e-3, 1e3))
+    def test_shortcut_equals_refits_ridge(self, shape, seed, lam):
+        n, p = shape
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        Y = rng.standard_normal(n)
         m = fit(SmootherSpec.ridge(lam), X, Y)
         assert ocv(m.residuals, m.hat_diag) == pytest.approx(
             loo_refit_ocv(X, Y, lam=lam), rel=1e-10

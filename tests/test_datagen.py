@@ -15,11 +15,9 @@ from randomx_eval.datagen import (
     CovariateModel,
     MeanModel,
     NoiseModel,
-    TrainingSet,
     block_correlation,
     draw_covariates,
     draw_response,
-    draw_training_set,
     quantile_t,
     stream,
 )
@@ -267,19 +265,11 @@ class TestNoiseAndResponse:
         assert resid.var() == pytest.approx(9.0, rel=0.05)
         assert resid.mean() == pytest.approx(0.0, abs=0.05)
 
-    def test_training_set_helper(self):
-        ts = draw_training_set(
-            CovariateModel.isotropic(3), MeanModel.linear_sum(), NoiseModel(1.0),
-            40, stream(7, 0, TRAIN), stream(7, 0, NOISE),
-        )
-        assert ts.n == 40 and ts.p == 3
-        np.testing.assert_allclose(ts.fX, ts.X.sum(axis=1))
+    def test_covariates_same_whether_or_not_responses_drawn(self):
+        X = draw_covariates(CovariateModel.isotropic(3), 40, stream(7, 0, TRAIN))
+        Y, fX = draw_response(X, MeanModel.linear_sum(), NoiseModel(1.0), stream(7, 0, NOISE))
+        assert X.shape == (40, 3) and Y.shape == fX.shape == (40,)
+        np.testing.assert_allclose(fX, X.sum(axis=1))
         # same covariate stream, separate noise stream -> same X either way
         X_only = draw_covariates(CovariateModel.isotropic(3), 40, stream(7, 0, TRAIN))
-        np.testing.assert_array_equal(ts.X, X_only)
-
-    def test_training_set_validation(self):
-        with pytest.raises(ValueError):
-            TrainingSet(X=np.zeros((3, 2)), Y=np.zeros(4), fX=np.zeros(3))
-        with pytest.raises(ValueError):
-            TrainingSet(X=np.zeros((3, 2)), Y=np.array([np.nan, 0, 0]), fX=np.zeros(3))
+        np.testing.assert_array_equal(X, X_only)

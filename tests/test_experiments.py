@@ -28,7 +28,7 @@ from randomx_eval.experiments import (
     run_decomposition_study,
     run_ridge_ratio_study,
 )
-from randomx_eval.smoothers import SmootherSpec, fit
+from randomx_eval.smoothers import SmootherSpec, fit, predict
 
 
 def ridge_ratio_limit_mc(
@@ -101,7 +101,7 @@ class TestErrRTarget:
         target = err_r_target(model, X_test, f_test, sigma**2)
         T = 5000
         noise = sigma * rng.standard_normal((T, m))
-        draws = np.mean((f_test + noise - model.predict(X_test)) ** 2, axis=1)
+        draws = np.mean((f_test + noise - predict(model, X_test)) ** 2, axis=1)
         se = draws.std(ddof=1) / np.sqrt(T)
         assert abs(target - draws.mean()) <= 3 * se
 

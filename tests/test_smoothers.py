@@ -28,7 +28,6 @@ class TestLeastSquares:
     def test_predict_extrapolates(self):
         m = fit(SmootherSpec.least_squares(), TWO_X, TWO_Y)
         np.testing.assert_allclose(predict(m, [[3.0]]), [4.2], rtol=1e-12)
-        np.testing.assert_allclose(m.predict([[3.0]]), [4.2], rtol=1e-12)
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(10)
@@ -193,9 +192,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SmootherSpec.knn(0)
 
-    def test_accepts_training_set(self):
-        from randomx_eval.datagen import TrainingSet
-
-        ts = TrainingSet(X=TWO_X, Y=TWO_Y, fX=TWO_Y)
-        m = fit(SmootherSpec.least_squares(), ts)
-        np.testing.assert_allclose(m.coefficients, [1.4], rtol=1e-12)
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            SmootherSpec.kernel_ridge(1.0, bandwidth=bandwidth)
