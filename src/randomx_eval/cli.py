@@ -362,8 +362,8 @@ def cmd_ridge_ratio(args):
     points = _pick(args.lambda_points, doc, "lambda_points", int, 40)
     if points < 2:
         raise ConfigError("lambda_points must be >= 2")
-    if not 0 < lam_min < lam_max:
-        raise ConfigError("need 0 < lambda_min < lambda_max")
+    if not 0 < lam_min < lam_max < np.inf:
+        raise ConfigError("need 0 < lambda_min < lambda_max < inf")
     curve = _study(
         run_ridge_ratio_study, n=n, p=p,
         lambdas=np.logspace(np.log10(lam_min), np.log10(lam_max), points),

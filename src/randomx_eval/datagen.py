@@ -33,7 +33,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError
 
@@ -47,6 +47,8 @@ __all__ = [
     "NoiseModel",
     "block_correlation",
     "draw_covariates",
+    "X0Moments",
+    "x0_moments",
     "draw_response",
     "quantile_t",
 ]
@@ -163,15 +165,17 @@ def block_sizes(p: int, blocks: int) -> list[int]:
     return [base + 1] * extra + [base] * (blocks - extra)
 
 
+def _block_matrix(p: int, blocks: int, diag, within, across=0.0) -> np.ndarray:
+    """``diag`` on the diagonal, ``within`` elsewhere inside a block, ``across`` between blocks."""
+    block = np.repeat(np.arange(blocks), block_sizes(p, blocks))
+    out = np.where(block[:, None] == block[None, :], within, across)
+    np.fill_diagonal(out, diag)
+    return out
+
+
 def block_correlation(p: int, blocks: int, rho: float) -> np.ndarray:
     """Block-diagonal correlation matrix: rho within a block, 0 across."""
-    sigma = np.zeros((p, p))
-    start = 0
-    for size in block_sizes(p, blocks):
-        sigma[start : start + size, start : start + size] = rho
-        start += size
-    np.fill_diagonal(sigma, 1.0)
-    return sigma
+    return _block_matrix(p, blocks, 1.0, rho)
 
 
 @functools.lru_cache(maxsize=64)
@@ -204,7 +208,8 @@ def draw_covariates(model: CovariateModel, n: int, rng: np.random.Generator) -> 
     G = rng.standard_normal((n, p)) @ L.T
     if model.variant == "normal_block":
         return G
-    U = scipy.special.ndtr(G)
+    from scipy.special import ndtr  # on first use: importing it costs about 65 ms
+    U = ndtr(G)
     if model.variant == "copula_uniform":
         return U
     return quantile_t(U, 4.0)  # copula_t4
@@ -306,6 +311,85 @@ def draw_response(
 
 
 # --------------------------------------------------------------------------
+# moments of a fresh row
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class X0Moments:
+    """The moments of a fresh row x0 that least squares and ridge integrate over.
+
+    ``root`` R has R R' = Sigma_x = E[x x'] (lower Cholesky factor or ``sigma_half``);
+    ``beta`` is beta* = Sigma_x^-1 E[x f]; ``e_perp`` = E[f^2] - E[x f]' beta* >= 0.
+    """
+
+    root: np.ndarray = field(repr=False)
+    beta: np.ndarray = field(repr=False)
+    e_perp: float
+
+
+def _t4_pair_moments(rho: float, nodes: int = 64, top: float = 12.0) -> tuple[float, float]:
+    """``(E[x y], E|x||y|)`` of a ``copula_t4`` pair whose normals have correlation rho.
+
+    With a(z) = |t4 quantile of Phi(-z)| and I(r) the integral of a(z) a(z')
+    over z, z' > 0 at correlation r, E[x y] = 2 (I(rho) - I(-rho)) and E|x||y|
+    = 2 (I(rho) + I(-rho)).  I puts z' = r z + sqrt(1 - r^2) t, with
+    Gauss-Legendre rules on z in [0, top] and on the t with z' in [0, top]: the
+    kink at 0 ends each rule.  Doubling ``nodes`` moves both by < 1e-14 for rho <= 0.99.
+    """
+    from scipy.special import ndtr
+    k = np.arange(1.0, nodes)  # Golub-Welsch: the rule's nodes and weights from the Jacobi matrix
+    x, V = eigh_tridiagonal(np.zeros(nodes), k / np.sqrt(4.0 * k * k - 1.0))
+    w = 2.0 * V[0] ** 2
+    z, wz = top / 2.0 * (x + 1.0), top / 2.0 * w
+
+    def a(v: np.ndarray) -> np.ndarray:
+        return -_quantile_t4(ndtr(-v.ravel())).reshape(v.shape)
+
+    r, s = np.array([[rho], [-rho]]), np.sqrt(1.0 - rho * rho)  # both quadrant pairs at once
+    lo = np.maximum(-r * z / s, -top)
+    half = (np.maximum(np.minimum((top - r * z) / s, top), lo) - lo) / 2.0
+    t = lo[..., None] + half[..., None] * (x + 1.0)  # (2, nodes, nodes)
+    zr = r[..., None] * z[:, None] + s * t
+    inner = np.sum(half[..., None] * w * np.exp(-0.5 * t * t) * a(zr), axis=-1)
+    same, cross = np.sum(wz * np.exp(-0.5 * z * z) * a(z) * inner, axis=1) / np.pi
+    return float(same - cross), float(same + cross)
+
+
+def x0_moments(covariates: CovariateModel, mean: MeanModel) -> X0Moments | None:
+    """The `X0Moments` of a fresh row; ``None`` for ``abs_sum`` on a non-normal ``scaled_product``.
+
+    Linear and null means, and ``abs_sum`` on the (0, 1) marginals of
+    ``copula_uniform``, give beta* exactly and e_perp = 0.  The other laws are
+    symmetric, so under ``abs_sum`` beta* = 0 and e_perp = C^2 sum_jk E|x_j||x_k|.
+    """
+    p, blocks, rho, variant = covariates.p, covariates.blocks, covariates.rho, covariates.variant
+    if variant in ("isotropic_normal", "scaled_product"):  # isotropic draws ignore sigma_half
+        S = covariates.sigma_half
+        root = S if variant == "scaled_product" and S is not None else np.eye(p)
+    elif variant == "normal_block":
+        root = _block_chol(p, blocks, rho)
+    elif variant == "copula_uniform":
+        root = np.linalg.cholesky(  # Cov(U_j, U_k) = arcsin(rho / 2) / (2 pi), E[U] = 1/2
+            _block_matrix(p, blocks, 1.0 / 3.0, np.arcsin(rho / 2.0) / (2.0 * np.pi) + 0.25, 0.25))
+    else:  # copula_t4: E[x^2] = 4 / (4 - 2) = 2 and E|x| = 1
+        prod, abs_prod = _t4_pair_moments(rho)
+        root = np.linalg.cholesky(_block_matrix(p, blocks, 2.0, prod))
+    if mean.variant != "abs_sum" or variant == "copula_uniform":  # f(x) = x' beta*
+        beta = {"linear_sum": np.ones(p), "null": np.zeros(p), "abs_sum": np.full(p, mean.C)}
+        return X0Moments(root, beta.get(mean.variant, mean.beta), 0.0)
+    if variant == "copula_t4":
+        abs_m = _block_matrix(p, blocks, 2.0, abs_prod, 1.0)
+    elif variant == "scaled_product" and covariates.base != "normal":
+        return None
+    else:  # x ~ N(0, R R'): E|x_j||x_k| = s_j s_k (2/pi)(sqrt(1 - r^2) + r arcsin r)
+        cov = root @ root.T
+        ss = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        r = np.clip(cov / np.where(ss > 0.0, ss, 1.0), -1.0, 1.0)
+        abs_m = ss * 2.0 / np.pi * (np.sqrt(1.0 - r * r) + r * np.arcsin(r))
+    return X0Moments(root, np.zeros(p), mean.C**2 * float(np.sum(abs_m)))
+
+
+# --------------------------------------------------------------------------
 # quantiles
 # --------------------------------------------------------------------------
 
@@ -367,7 +451,8 @@ def quantile_t(u, df: float):
     if df == 4:
         q = _quantile_t4(arr.reshape(-1)).reshape(arr.shape)
     else:
-        q = scipy.special.stdtrit(df, arr)
+        from scipy.special import stdtrit
+        q = stdtrit(df, arr)
     if np.isscalar(u) or arr.ndim == 0:
         return float(q)
     return q

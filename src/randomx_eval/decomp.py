@@ -9,7 +9,7 @@ where ``B`` and ``V`` are the bias and variance terms already present when
 test covariates coincide with the training rows (Same-X), and ``Bplus`` /
 ``Vplus`` are the excesses paid because they do not.  The estimators here are
 Rao-Blackwellized: per replicate only covariates are drawn, and the four
-conditional moments given (X, X0) are computed exactly — no response noise
+conditional moments given the draw are computed exactly — no response noise
 is simulated, which removes the dominant Monte Carlo variance component.
 
 Every smoother predicts L(X0) Y (see `smoothers`), so given X the mean of
@@ -17,6 +17,10 @@ the prediction is L(X0) f and its variance at a row x0 is sigma^2 |L(x0)|^2.
 The moments are therefore generic in L: the squared bias mean((L f - f)^2)
 and the variance sigma^2 ||L||_F^2 / rows, at X (Same-X) and at X0
 (Random-X), all read from the one smoother operator.
+
+For least squares and ridge, wherever `datagen.x0_moments` covers the law
+and mean, x0 is integrated out exactly (`_Operator.integrate`) and a
+replicate draws X alone; otherwise it samples an n-row X0.
 
 Excess terms are averaged as per-replicate *paired* differences (Random-X
 moment minus Same-X moment on the same draw), which is what their standard
@@ -32,7 +36,7 @@ import numpy as np
 
 from ._pool import run_replicates
 from .criteria import LEVERAGE_TOL, _check_sigma2
-from .datagen import TEST, TRAIN, draw_covariates, stream
+from .datagen import TEST, TRAIN, X0Moments, draw_covariates, stream, x0_moments
 from .errors import LeverageOne
 from .smoothers import SmootherSpec, _as_xy, _factorize
 
@@ -85,21 +89,21 @@ def conditional_moments(
     if X0.shape[1] != X.shape[1]:
         raise ValueError(f"X0 must be (m, {X.shape[1]})")
     _check_sigma2(sigma2)
-    return _conditional_moments(smoother, X, X0, fX, fX0, sigma2)
+    return _conditional_moments(smoother, X, fX, sigma2, (X0, fX0))
 
 
-def _conditional_moments(
-    smoother: SmootherSpec, X: np.ndarray, X0: np.ndarray, fX: np.ndarray, fX0: np.ndarray,
-    sigma2: float,
-) -> ConditionalMoments:
-    """`conditional_moments` without the input checks, for the replicate loop."""
+def _conditional_moments(smoother: SmootherSpec, X: np.ndarray, fX: np.ndarray, sigma2: float,
+                         test: tuple[np.ndarray, np.ndarray] | X0Moments) -> ConditionalMoments:
+    """`conditional_moments` unchecked; ``test`` is ``(X0, f(X0))`` or the `X0Moments` of x0."""
     op = _factorize(smoother, X)
     c = op.solve(fX)
     fit_s, var_s = op.apply(c, None, sigma2)
+    bias_s = float(np.mean((fit_s - fX) ** 2))
+    if isinstance(test, X0Moments):
+        return ConditionalMoments(bias_s, var_s, *op.integrate(c, test, sigma2))
+    X0, fX0 = test
     fit_r, var_r = op.apply(c, X0, sigma2)
-    return ConditionalMoments(
-        float(np.mean((fit_s - fX) ** 2)), var_s, float(np.mean((fit_r - fX0) ** 2)), var_r
-    )
+    return ConditionalMoments(bias_s, var_s, float(np.mean((fit_r - fX0) ** 2)), var_r)
 
 
 # --------------------------------------------------------------------------
@@ -143,10 +147,10 @@ def estimate_decomposition(
     """Estimate (B, V, Bplus, Vplus) for a smoother under a scenario.
 
     Per replicate r, training covariates come from stream
-    ``(seed, r, TRAIN)`` and an n-row test matrix from ``(seed, r, TEST)``;
-    the conditional moments for that draw are exact, so averaging them gives
-    unbiased estimates of all four terms, over ``scenario.reps`` replicates.
-    Output is identical for any ``threads``.
+    ``(seed, r, TRAIN)`` and, unless x0 is integrated out (module docstring),
+    an n-row test matrix from ``(seed, r, TEST)``; the moments given that draw
+    are exact, so their means over ``scenario.reps`` replicates are unbiased
+    estimates of all four terms.  Output is identical for any ``threads``.
     """
     reps = scenario.reps
     n = scenario.n
@@ -154,11 +158,15 @@ def estimate_decomposition(
     sigma2 = scenario.noise.sigma2
     cov = scenario.covariates
     mean = scenario.mean
+    moments = x0_moments(cov, mean) if smoother.variant in ("least_squares", "ridge") else None
 
     def one_rep(r: int) -> ConditionalMoments:
         X = draw_covariates(cov, n, stream(seed, r, TRAIN))
-        X0 = draw_covariates(cov, n, stream(seed, r, TEST))
-        return _conditional_moments(smoother, X, X0, mean.evaluate(X), mean.evaluate(X0), sigma2)
+        test = moments
+        if test is None:
+            X0 = draw_covariates(cov, n, stream(seed, r, TEST))
+            test = (X0, mean.evaluate(X0))
+        return _conditional_moments(smoother, X, mean.evaluate(X), sigma2, test)
 
     rows = np.array(run_replicates(one_rep, reps, threads, seed))
     bias_s, var_s, bias_r, var_r = rows.T

@@ -257,7 +257,8 @@ def run_ridge_ratio_study(
 
     Per replicate, training and test matrices of n isotropic normal rows are
     drawn and the exact conditional variances are formed from the spectrum
-    of X'X, so one eigendecomposition serves the whole grid.
+    d of X'X, so one eigendecomposition serves the whole grid.  Both carry
+    lam^2 / (d + lam)^2, not 1 / (d + lam)^2, so a finite lam never overflows.
     """
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
@@ -268,8 +269,8 @@ def run_ridge_ratio_study(
     if lambdas is None:
         lambdas = np.logspace(0.0, 6.0, 40)
     lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.ndim != 1 or np.any(lambdas <= 0):
-        raise ValueError("lambdas must be a 1-D positive grid")
+    if lambdas.ndim != 1 or not np.all(np.isfinite(lambdas) & (lambdas > 0)):
+        raise ValueError("lambdas must be a 1-D grid of finite positive values")
     model = CovariateModel.isotropic(p)
 
     def one_rep(r: int) -> np.ndarray:
@@ -279,7 +280,7 @@ def run_ridge_ratio_study(
         d, U = w[::-1], v[:, ::-1]  # descending
         G0 = X0.T @ X0
         g = np.einsum("ij,ij->j", U, G0 @ U)  # diag(U' G0 U)
-        shrink = 1.0 / (d[None, :] + lambdas[:, None]) ** 2
+        shrink = (lambdas[:, None] / (d[None, :] + lambdas[:, None])) ** 2
         var_s = (d**2 * shrink).sum(axis=1)
         var_r = (g * d * shrink).sum(axis=1)
         return var_r / var_s

@@ -2,9 +2,9 @@
 
 `smoothers._factorize` factors the (possibly ridge-shifted) Gram matrix
 X'X + lam I, or the kernel system K + lam I, through `_cholesky_spd` once per
-training design, and every solve with it goes through `_cho_solve`.  Both
-call LAPACK's ``dpotrf``/``dpotrs`` directly, as `scipy.linalg.cho_factor`
-and `scipy.linalg.cho_solve` do, without their per-call argument handling.
+training design, and every solve with it goes through `_cho_solve` or
+`_tri_solve`.  They call LAPACK's ``dpotrf``/``dpotrs``/``dtrtrs`` directly,
+without the per-call argument handling of `scipy.linalg.cho_factor`/`cho_solve`.
 Rank deficiency is flagged by a pivot threshold relative to the largest
 diagonal entry rather than by LAPACK's hard failure alone, so
 nearly-singular designs fail loudly instead of returning garbage.
@@ -13,7 +13,7 @@ nearly-singular designs fail loudly instead of returning garbage.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import NotPositiveDefinite
 
@@ -49,3 +49,8 @@ def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
     """A^-1 b for the ``factor`` of A returned by `_cholesky_spd`; b is a vector or a matrix."""
     c, lower = factor
     return dpotrs(c, b, lower=lower)[0]
+
+
+def _tri_solve(factor, b: np.ndarray) -> np.ndarray:
+    """F^-1 b for the lower factor F (A = F F') in the ``factor`` returned by `_cholesky_spd`."""
+    return dtrtrs(factor[0], b, lower=factor[1])[0]

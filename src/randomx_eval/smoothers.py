@@ -11,7 +11,10 @@ and returns the operator that everything else is read from:
 ``apply(c, X0, sigma2)``    L(X0) y = X0 c, k(X0, X) c, or the mean of c over
                             each query row's k neighbors; given ``sigma2``
                             also the mean noise variance sigma2 ||L(X0)||_F^2 / m;
-``hat_diag()``              the diagonal of L(X).
+``hat_diag()``              the diagonal of L(X);
+``integrate(c, m, sigma2)`` least squares and ridge: the squared bias and the
+                            variance of L(x0) y averaged over a fresh row x0,
+                            from its moments m (`datagen.x0_moments`).
 
 `fit` and `predict` here, and the conditional moments and the conditional
 OCV split in `decomp`, are all derived from it.  Two variances are exact
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateNeighbors, NotPositiveDefinite, RankDeficient
-from .linalg import _cho_solve, _cholesky_spd
+from .linalg import _cho_solve, _cholesky_spd, _tri_solve
 
 __all__ = [
     "SmootherSpec",
@@ -207,6 +210,16 @@ class _Operator:
             XW = X @ W  # L(X0)' = X W
             sq = np.sum(XW * XW)
         return out, sigma2 / len(B) * float(sq)
+
+    def integrate(self, c: np.ndarray, moments, sigma2: float) -> tuple[float, float]:
+        """``(E (c'x0 - f(x0))^2, sigma2 E|L(x0)|^2)`` over a fresh row x0 with ``moments``.
+
+        They are |R'(c - beta*)|^2 + e_perp and sigma2 tr(A^-1 X'X A^-1 R R'): sigma2 times
+        |F^-1 R|_F^2 for least squares (A = F F'), |X A^-1 R|_F^2 for ridge."""
+        R, F = moments.root, self.factor
+        d = R.T @ (c - moments.beta)
+        W = _tri_solve(F, R) if self.spec.lam == 0.0 else self.X @ _cho_solve(F, R)
+        return float(d @ d) + moments.e_perp, sigma2 * float(np.sum(W * W))
 
     def hat_diag(self) -> np.ndarray:
         """The diagonal of L(X), with the round-off below 0 clipped."""

@@ -4,8 +4,12 @@ import csv
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randomx_eval
 from randomx_eval._pool import USER_BLAS_ENV, _blas_pools, blas_threads
 from randomx_eval.cli import _read_dataset, bundled_config_path, main
 from randomx_eval.criteria import criteria_report
@@ -444,6 +449,21 @@ class TestRidgeRatio:
         code, _, err = run_cli(capsys, "ridge-ratio", "--lambda-points", "1")
         assert code == 2 and "lambda_points" in err
 
+    def test_non_finite_penalty_is_config_error(self, capsys):
+        for value in ("inf", "nan"):
+            code, out, err = run_cli(capsys, "ridge-ratio", "--n", "30", "--p", "5", "--reps", "3",
+                                     "--lambda-points", "3", "--lambda-max", value)
+            assert code == 2 and "lambda_max" in err and out == ""
+
+    def test_huge_penalty_gives_finite_ratios_near_the_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "ridge-ratio", "--n", "30", "--p", "5", "--reps", "3",
+                               "--lambda-min", "1e6", "--lambda-max", "1e308", "--lambda-points", "3")
+        assert code == 0
+        ratios = [float(row[1]) for row in parse_csv(out)[1]]
+        assert np.all(np.isfinite(ratios))
+        # lam^2 cancels in Var_R / Var_S, so 1e308 reads as the limit 1e6 nearly reaches
+        assert ratios[-1] == pytest.approx(ratios[0], rel=1e-4)
+
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "ridge.json"
         path.write_text(json.dumps({"n": 30, "p": 5, "reps": 4, "lambda_mn": 1.0}))
@@ -458,6 +478,14 @@ class TestRidgeRatio:
     def test_p_must_be_below_n(self, capsys):
         code, _, err = run_cli(capsys, "ridge-ratio", "--n", "10", "--p", "10", "--reps", "3")
         assert code == 2 and "p" in err
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # only copula draws, their x0 moments and t quantiles at df != 4 need it
+    src = str(Path(randomx_eval.__file__).resolve().parents[1])
+    code = "import sys, randomx_eval.cli; sys.exit('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestBundledConfigs:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,9 @@ from randomx_eval.datagen import (
     draw_response,
     quantile_t,
     stream,
+    x0_moments,
 )
+from randomx_eval.datagen import _t4_pair_moments
 from randomx_eval.errors import DomainError
 
 
@@ -273,3 +276,90 @@ class TestNoiseAndResponse:
         # same covariate stream, separate noise stream -> same X either way
         X_only = draw_covariates(CovariateModel.isotropic(3), 40, stream(7, 0, TRAIN))
         np.testing.assert_array_equal(X, X_only)
+
+
+# --------------------------------------------------------------------------
+# moments of a fresh row
+# --------------------------------------------------------------------------
+
+class TestX0Moments:
+    def test_t4_anchors(self):
+        prod, abs_prod = _t4_pair_moments(0.0)
+        assert prod == 0.0 and abs_prod == pytest.approx(1.0, abs=1e-12)  # E|t4| = 1
+        prod, abs_prod = _t4_pair_moments(0.9)
+        assert prod == pytest.approx(1.7758204245503, abs=1e-12)
+        assert abs_prod == pytest.approx(1.7981428653484, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_t4_quadrature_converged(self, rho):
+        base = np.array(_t4_pair_moments(rho))
+        doubled = np.array(_t4_pair_moments(rho, nodes=128))
+        assert np.max(np.abs(doubled - base)) <= 1e-12
+
+    def test_t4_product_matches_gauss_hermite(self):
+        # an independent rule: 2-D Gauss-Hermite over the underlying normal pair
+        z, w = np.polynomial.hermite_e.hermegauss(40)
+        w = w / math.sqrt(2.0 * math.pi)
+        rho = 0.9
+        z2 = rho * z[:, None] + math.sqrt(1.0 - rho * rho) * z[None, :]
+
+        def t4(v):
+            return np.sign(v) * -quantile_t(scipy.special.ndtr(-np.abs(v)), 4.0)
+
+        gh = float(np.sum(w[:, None] * w[None, :] * t4(z)[:, None] * t4(z2)))
+        assert _t4_pair_moments(rho)[0] == pytest.approx(gh, abs=1e-12)
+
+    def test_second_moment_diagonals(self):
+        linear = MeanModel.linear_sum()
+        t4 = x0_moments(CovariateModel.copula_t4(6, 2, 0.5), linear).root
+        np.testing.assert_allclose(np.diag(t4 @ t4.T), 2.0, rtol=1e-14)  # E[t4^2] = 4 / (4 - 2)
+        unif = x0_moments(CovariateModel.copula_uniform(6, 2, 0.5), linear).root
+        sigma = unif @ unif.T
+        np.testing.assert_allclose(np.diag(sigma), 1.0 / 3.0, rtol=1e-14)
+        assert sigma[0, 5] == pytest.approx(0.25, rel=1e-14)  # independent blocks: E[U]^2
+        assert sigma[0, 1] == pytest.approx(np.arcsin(0.25) / (2 * np.pi) + 0.25, rel=1e-14)
+        block = x0_moments(CovariateModel.normal_block(6, 2, 0.5), linear).root
+        np.testing.assert_allclose(block @ block.T, block_correlation(6, 2, 0.5), atol=1e-15)
+        S = np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert x0_moments(CovariateModel.scaled_product(2, sigma_half=S), linear).root is S
+        # isotropic draws ignore a sigma_half, so its moments must too
+        iso = x0_moments(CovariateModel("isotropic_normal", 2, sigma_half=S), linear).root
+        assert np.array_equal(iso, np.eye(2))
+
+    def test_normal_abs_moment_anchors(self):
+        # e_perp = C^2 sum_jk E|x_j||x_k|, with E x_j^2 = 1 and E|x_j||x_k| = 2/pi at rho = 0
+        iso = x0_moments(CovariateModel.isotropic(3), MeanModel.abs_sum(1.0)).e_perp
+        assert iso == pytest.approx(3 + 6 * 2.0 / np.pi, rel=1e-15)
+        rng = np.random.default_rng(81)
+        z = rng.standard_normal((400_000, 2)) @ np.linalg.cholesky([[1.0, 0.6], [0.6, 1.0]]).T
+        f2 = np.abs(z).sum(axis=1) ** 2
+        pair = x0_moments(CovariateModel.normal_block(2, 1, 0.6), MeanModel.abs_sum(1.0)).e_perp
+        assert abs(f2.mean() - pair) <= 4 * f2.std() / np.sqrt(len(f2))
+
+    def test_linear_means_are_exact(self):
+        beta = np.array([1.0, -2.0, 0.5, 3.0])
+        for cov in (CovariateModel.normal_block(4, 2, 0.7), CovariateModel.copula_t4(4, 2, 0.7),
+                    CovariateModel.scaled_product(4, base="rademacher")):
+            for mean, want in ((MeanModel.linear_sum(), np.ones(4)), (MeanModel.null(), np.zeros(4)),
+                               (MeanModel.linear_beta(beta), beta)):
+                m = x0_moments(cov, mean)
+                assert np.array_equal(m.beta, want) and m.e_perp == 0.0
+        # abs_sum is C sum_j x_j on the (0, 1) marginals of the uniform copula
+        m = x0_moments(CovariateModel.copula_uniform(4, 2, 0.7), MeanModel.abs_sum(0.75))
+        assert np.array_equal(m.beta, np.full(4, 0.75)) and m.e_perp == 0.0
+        m = x0_moments(CovariateModel.normal_block(4, 2, 0.7), MeanModel.abs_sum(0.75))
+        assert np.array_equal(m.beta, np.zeros(4)) and m.e_perp > 0.0
+
+    def test_abs_sum_residual_sums_the_pair_moments(self):
+        # e_perp = C^2 sum_jk E|x_j||x_k|: 2 blocks of 2, so 4 diagonal, 4 within, 8 across
+        t4 = x0_moments(CovariateModel.copula_t4(4, 2, 0.7), MeanModel.abs_sum(0.5)).e_perp
+        assert t4 == pytest.approx(0.25 * (4 * 2.0 + 4 * _t4_pair_moments(0.7)[1] + 8 * 1.0), rel=1e-14)
+        normal = x0_moments(CovariateModel.normal_block(4, 2, 0.7), MeanModel.abs_sum(0.5)).e_perp
+        within = 2.0 / np.pi * (np.sqrt(1.0 - 0.49) + 0.7 * np.arcsin(0.7))
+        assert normal == pytest.approx(0.25 * (4 * 1.0 + 4 * within + 8 * 2.0 / np.pi), rel=1e-14)
+
+    def test_uncovered_law_gives_none(self):
+        for base in ("uniform", "rademacher"):
+            cov = CovariateModel.scaled_product(4, base=base)
+            assert x0_moments(cov, MeanModel.abs_sum(1.0)) is None
+            assert x0_moments(cov, MeanModel.linear_sum()) is not None

@@ -17,14 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randomx_eval import decomp
 from randomx_eval._pool import run_replicates
 from randomx_eval.datagen import (
+    TEST,
     TRAIN,
     CovariateModel,
     MeanModel,
     NoiseModel,
     draw_covariates,
     stream,
+    x0_moments,
 )
 from randomx_eval.decomp import (
     ConditionalMoments,
@@ -34,7 +37,7 @@ from randomx_eval.decomp import (
 )
 from randomx_eval.errors import LeverageOne, RankDeficient, ReplicateError
 from randomx_eval.experiments import ScenarioConfig
-from randomx_eval.smoothers import SmootherSpec, fit, predict
+from randomx_eval.smoothers import SmootherSpec, _factorize, fit, predict
 
 
 # --------------------------------------------------------------------------
@@ -335,6 +338,82 @@ class TestEstimateDecomposition:
         assert est.reps == 10
         with pytest.raises(ValueError):
             estimate_decomposition(replace(_scenario(), reps=1), SmootherSpec.least_squares())
+
+
+# --------------------------------------------------------------------------
+# x0 integrated out: least squares and ridge
+# --------------------------------------------------------------------------
+
+_S = np.array([[1.5, 0.4, 0.0, -0.3], [0.4, 1.0, 0.2, 0.0], [0.0, 0.2, 0.8, 0.1],
+               [-0.3, 0.0, 0.1, 1.2]])
+LAWS = {
+    "normal_block": CovariateModel.normal_block(4, 2, 0.7),
+    "isotropic": CovariateModel.isotropic(4),
+    "scaled_normal": CovariateModel.scaled_product(4, "normal", _S),
+    "scaled_uniform": CovariateModel.scaled_product(4, "uniform", _S),
+    "scaled_rademacher": CovariateModel.scaled_product(4, "rademacher"),
+    "copula_uniform": CovariateModel.copula_uniform(4, 2, 0.7),
+    "copula_t4": CovariateModel.copula_t4(4, 2, 0.7),
+}
+MEANS = (MeanModel.linear_sum(), MeanModel.abs_sum(0.75), MeanModel.null(),
+         MeanModel.linear_beta(np.array([1.0, -2.0, 0.5, 3.0])))
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_integrate_matches_apply_over_sampled_x0(law):
+    cov = LAWS[law]
+    X = draw_covariates(cov, 30, stream(70, 0, TRAIN))
+    X0 = draw_covariates(cov, 100_000, stream(70, 0, TEST))
+    for mean in MEANS:
+        moments = x0_moments(cov, mean)
+        if moments is None:
+            assert mean.variant == "abs_sum" and cov.base != "normal"
+            continue
+        fX, fX0 = mean.evaluate(X), mean.evaluate(X0)
+        for spec in (SmootherSpec.least_squares(), SmootherSpec.ridge(3.0)):
+            op = _factorize(spec, X)
+            c = op.solve(fX)
+            exact = op.integrate(c, moments, 2.0)
+            per = []
+            for rows in np.split(np.arange(len(X0)), 50):
+                fit_r, var_r = op.apply(c, X0[rows], 2.0)
+                per.append((np.mean((fit_r - fX0[rows]) ** 2), var_r))
+            per = np.array(per)
+            sampled, se = per.mean(axis=0), per.std(axis=0, ddof=1) / np.sqrt(len(per))
+            assert np.all(np.abs(exact - sampled) <= 4 * se + 1e-12), (law, mean.variant, spec.variant)
+
+
+def test_exact_bias_of_a_linear_mean_is_rounding_and_nonnegative():
+    # |R'(c - beta*)|^2 + e_perp: no large terms cancel, so no negative round-off
+    for cov in (LAWS["copula_uniform"], LAWS["copula_t4"]):
+        for mean in (MeanModel.linear_sum(), MeanModel.abs_sum(0.75)):
+            moments = x0_moments(cov, mean)
+            if moments.e_perp:
+                continue
+            for r in range(20):
+                X = draw_covariates(cov, 30, stream(71, r, TRAIN))
+                op = _factorize(SmootherSpec.least_squares(), X)
+                bias_r = op.integrate(op.solve(mean.evaluate(X)), moments, 1.0)[0]
+                assert 0.0 <= bias_r < 1e-20
+
+
+@pytest.mark.parametrize("spec, cov, mean, draws", [
+    (SmootherSpec.least_squares(), LAWS["normal_block"], MeanModel.abs_sum(0.75), 1),
+    (SmootherSpec.ridge(2.0), LAWS["copula_t4"], MeanModel.linear_sum(), 1),
+    (SmootherSpec.knn(3), LAWS["normal_block"], MeanModel.abs_sum(0.75), 2),
+    (SmootherSpec.kernel_ridge(1.0), LAWS["normal_block"], MeanModel.abs_sum(0.75), 2),
+    (SmootherSpec.least_squares(), LAWS["scaled_uniform"], MeanModel.abs_sum(0.75), 2),
+], ids=["ls", "ridge", "knn", "kernel_ridge", "ls_uniform_base_abs_sum"])
+def test_x0_is_sampled_only_without_exact_moments(monkeypatch, spec, cov, mean, draws):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return draw_covariates(*args)
+
+    monkeypatch.setattr(decomp, "draw_covariates", counted)
+    est = estimate_decomposition(_scenario(covariates=cov, mean=mean, n=20, reps=4), spec)
+    assert len(calls) == 4 * draws and est.reps == 4
 
 
 # --------------------------------------------------------------------------

@@ -233,6 +233,9 @@ class TestRidgeRatioStudy:
             run_ridge_ratio_study(n=10, p=2, reps=1)
         with pytest.raises(ValueError):
             run_ridge_ratio_study(n=10, p=2, lambdas=np.array([1.0, -2.0]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                run_ridge_ratio_study(n=10, p=2, lambdas=np.array([1.0, bad]))
 
 
 class TestRidgeRatioLimitMc:
