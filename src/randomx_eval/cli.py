@@ -12,9 +12,10 @@ Subcommands
 The study subcommands take ``--config`` (optional for ``ridge-ratio``, which
 also takes ``--n``, ``--p`` and ``--lambda-min/max/points``), ``--seed``,
 ``--reps`` and ``--threads`` (default 1); a flag given overrides the config's
-value.  A config key the subcommand does not know is an error, so a misspelt
-field cannot silently take its default.  ``eval`` takes the data file,
-``--sigma2``, ``--smoother`` and ``--lam``.  Every subcommand takes ``--out``.
+value.  A config key the subcommand does not know, or a model field its
+``variant`` does not read, is an error, so a misspelt field cannot silently
+take its default.  ``eval`` takes the data file, ``--sigma2``, ``--smoother``
+and, for ridge only, ``--lam``.  Every subcommand takes ``--out``.
 Output is CSV on stdout or at ``--out``; floats are printed with 17
 significant digits so files are round-trip exact and byte-stable, and
 byte-identical across ``--threads``.  With ``--out``, a small JSON run
@@ -212,11 +213,11 @@ def _get(doc: dict, field: str, kind, where: str = "", required: bool = True, de
     return value
 
 
-def _check_keys(doc: dict, known, where: str = "") -> None:
+def _check_keys(doc: dict, known, where: str = "", message: str = "unknown key") -> None:
     """Reject a key outside ``known``, which would otherwise be ignored unread."""
     for key in doc:
         if key not in known:
-            raise ConfigError("unknown key", field=f"{where}.{key}" if where else key)
+            raise ConfigError(message, field=f"{where}.{key}" if where else key)
 
 
 def _pick(flag, doc: dict, key: str, kind, default):
@@ -231,21 +232,19 @@ _STUDY_KEYS = ("seed", "reps", "n", "p", "test_m", "sigma", "scenarios", "smooth
 _SCENARIO_KEYS = ("name", "covariates", "mean")
 _RIDGE_KEYS = ("seed", "n", "p", "reps", "lambda_min", "lambda_max", "lambda_points")
 
-# Optional fields of each model's config object, after its ``variant``.
-_COVARIATE_FIELDS = (("blocks", int), ("rho", float), ("base", str), ("sigma_half", list))
-_MEAN_FIELDS = (("C", float), ("beta", list))
-_SMOOTHER_FIELDS = (("lam", float), ("kernel", str), ("bandwidth", float), ("k", int))
 
-
-def _model(cls, obj: dict, where: str, keys, *args):
+def _model(cls, obj: dict, where: str, *args):
     """``cls(variant, *args, **fields)`` from one config object.
 
-    The constructor checks every value and converts ``sigma_half`` and
-    ``beta`` to arrays; a value it rejects is a `ConfigError` naming ``where``.
+    Only the keys ``cls.FIELDS`` lists for the variant are read, any other is a
+    `ConfigError` naming it, as is a value the constructor rejects.
     """
-    _check_keys(obj, ("variant", *(key for key, _ in keys)), where)
     variant = _get(obj, "variant", str, where)
-    fields = {key: _get(obj, key, kind, where) for key, kind in keys if key in obj}
+    if variant not in cls.FIELDS:
+        raise ConfigError(f"unknown variant {variant!r}", field=f"{where}.variant")
+    reads = cls.FIELDS[variant]
+    _check_keys(obj, ("variant", *reads), where, f"unknown key for variant {variant!r}")
+    fields = {key: _get(obj, key, kind, where) for key, kind in reads.items() if key in obj}
     try:
         return cls(variant, *args, **fields)
     except (ValueError, TypeError) as exc:
@@ -279,8 +278,8 @@ def _load_study(args) -> tuple[list[ScenarioConfig], SmootherSpec, bytes, int]:
         _check_keys(entry, _SCENARIO_KEYS, where)
         name = _get(entry, "name", str, where)
         cov = _model(CovariateModel, _get(entry, "covariates", dict, where),
-                     f"{where}.covariates", _COVARIATE_FIELDS, p)
-        mean = _model(MeanModel, _get(entry, "mean", dict, where), f"{where}.mean", _MEAN_FIELDS)
+                     f"{where}.covariates", p)
+        mean = _model(MeanModel, _get(entry, "mean", dict, where), f"{where}.mean")
         try:
             scenarios.append(ScenarioConfig(covariates=cov, mean=mean, noise=noise, n=n,
                                             test_m=test_m, reps=reps, seed=seed, name=name))
@@ -288,8 +287,8 @@ def _load_study(args) -> tuple[list[ScenarioConfig], SmootherSpec, bytes, int]:
             raise ConfigError(str(exc), field=where) from exc
     obj = _get(doc, "smoother", dict, required=False)
     smoother = (SmootherSpec.least_squares() if obj is None
-                else _model(SmootherSpec, obj, "smoother", _SMOOTHER_FIELDS))
-    if smoother.variant == "knn" and smoother.k > n:
+                else _model(SmootherSpec, obj, "smoother"))
+    if smoother.k > n:
         raise ConfigError(f"k={smoother.k} exceeds n={n}", field="smoother")
     return scenarios, smoother, raw, threads
 
@@ -472,6 +471,8 @@ def cmd_eval(args):
         raise ConfigError("--sigma2 must be finite and >= 0")
     if args.smoother == "ridge" and not 0 < (args.lam or 0) < np.inf:
         raise ConfigError("--smoother ridge requires a finite --lam > 0")
+    if args.smoother == "ls" and args.lam is not None:
+        raise ConfigError("--lam applies to --smoother ridge only")
     spec = SmootherSpec.least_squares() if args.smoother == "ls" else SmootherSpec.ridge(args.lam)
     report = criteria_report(fit(spec, X, Y), sigma2=args.sigma2)
     pairs = [("rss", report.rss), ("sigma2_hat", report.sigma2_hat)]

@@ -30,7 +30,7 @@ nothing and keeps the libraries' own BLAS threading.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -58,14 +58,6 @@ TRAIN = 0
 NOISE = 1
 TEST = 2
 
-_COVARIATE_VARIANTS = (
-    "normal_block",
-    "copula_uniform",
-    "copula_t4",
-    "isotropic_normal",
-    "scaled_product",
-)
-_MEAN_VARIANTS = ("linear_sum", "abs_sum", "null", "linear_beta")
 _BASES = ("normal", "uniform", "rademacher")
 
 
@@ -80,6 +72,16 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _check_variant(model, kind: str) -> None:
+    """Reject an unknown variant, or an unread field (``model.FIELDS``) off its default."""
+    if model.variant not in model.FIELDS:
+        raise ValueError(f"unknown {kind} variant {model.variant!r}")
+    for f in fields(model):
+        if f.default is not MISSING and f.name not in model.FIELDS[model.variant] and (
+                not np.array_equal(getattr(model, f.name), f.default)):
+            raise ValueError(f"{kind} variant {model.variant} does not read {f.name}")
+
+
 # --------------------------------------------------------------------------
 # covariate models
 # --------------------------------------------------------------------------
@@ -91,22 +93,29 @@ class CovariateModel:
     Parameters
     ----------
     variant : str
-        One of ``normal_block``, ``copula_uniform``, ``copula_t4``,
-        ``isotropic_normal``, ``scaled_product``.
+        A key of ``FIELDS``.
     p : int
         Row dimension.
     blocks : int, optional
-        Number of correlation blocks (block variants only).  ``p mod blocks``
-        leading blocks get one extra coordinate.
+        Number of correlation blocks.  ``p mod blocks`` leading blocks get
+        one extra coordinate.
     rho : float, optional
         Within-block correlation, in [0, 1).
     base : str, optional
-        Marginal of the i.i.d. entries for ``scaled_product``: ``normal``,
-        ``uniform`` (on (-sqrt(3), sqrt(3))) or ``rademacher`` — all zero
-        mean, unit variance.
+        Marginal of the i.i.d. entries: ``normal``, ``uniform`` (on
+        (-sqrt(3), sqrt(3))) or ``rademacher`` — all zero mean, unit variance.
     sigma_half : (p, p) array, optional
-        Symmetric square root applied on the right for ``scaled_product``.
+        Symmetric square root applied on the right.
     """
+
+    #: Each variant's fields beyond ``p``, with their JSON kinds; the rest keep their defaults.
+    FIELDS = {
+        "normal_block": {"blocks": int, "rho": float},
+        "copula_uniform": {"blocks": int, "rho": float},
+        "copula_t4": {"blocks": int, "rho": float},
+        "isotropic_normal": {},
+        "scaled_product": {"base": str, "sigma_half": list},
+    }
 
     variant: str
     p: int
@@ -116,8 +125,7 @@ class CovariateModel:
     sigma_half: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.variant not in _COVARIATE_VARIANTS:
-            raise ValueError(f"unknown covariate variant {self.variant!r}")
+        _check_variant(self, "covariate")
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if not (1 <= self.blocks <= self.p):
@@ -159,15 +167,10 @@ class CovariateModel:
         return cls("scaled_product", p, base=base, sigma_half=sigma_half)
 
 
-def block_sizes(p: int, blocks: int) -> list[int]:
-    """Split p coordinates into ``blocks`` groups, leading groups one larger."""
-    base, extra = divmod(p, blocks)
-    return [base + 1] * extra + [base] * (blocks - extra)
-
-
 def _block_matrix(p: int, blocks: int, diag, within, across=0.0) -> np.ndarray:
     """``diag`` on the diagonal, ``within`` elsewhere inside a block, ``across`` between blocks."""
-    block = np.repeat(np.arange(blocks), block_sizes(p, blocks))
+    base, extra = divmod(p, blocks)  # the leading ``extra`` blocks get one more coordinate
+    block = np.repeat(np.arange(blocks), [base + 1] * extra + [base] * (blocks - extra))
     out = np.where(block[:, None] == block[None, :], within, across)
     np.fill_diagonal(out, diag)
     return out
@@ -191,9 +194,7 @@ def draw_covariates(model: CovariateModel, n: int, rng: np.random.Generator) -> 
     if n < 1:
         raise ValueError("n must be >= 1")
     p = model.p
-    if model.variant == "isotropic_normal":
-        return rng.standard_normal((n, p))
-    if model.variant == "scaled_product":
+    if model.variant in ("isotropic_normal", "scaled_product"):
         if model.base == "normal":
             Z = rng.standard_normal((n, p))
         elif model.base == "uniform":
@@ -229,13 +230,15 @@ class MeanModel:
     ``linear_beta`` f(x) = x' beta
     """
 
+    #: Each variant's fields, with their JSON kinds; the rest keep their defaults.
+    FIELDS = {"linear_sum": {}, "abs_sum": {"C": float}, "null": {}, "linear_beta": {"beta": list}}
+
     variant: str
     C: float = 1.0
     beta: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.variant not in _MEAN_VARIANTS:
-            raise ValueError(f"unknown mean variant {self.variant!r}")
+        _check_variant(self, "mean")
         if not np.isfinite(self.C):
             raise ValueError("C must be finite")
         if self.variant == "linear_beta" and self.beta is None:
@@ -271,8 +274,6 @@ class MeanModel:
             return self.C * np.abs(X).sum(axis=1)
         if self.variant == "null":
             return np.zeros(X.shape[0])
-        if X.shape[1] != self.beta.shape[0]:
-            raise ValueError("beta length does not match X columns")
         return X @ self.beta
 
 
@@ -363,9 +364,8 @@ def x0_moments(covariates: CovariateModel, mean: MeanModel) -> X0Moments | None:
     symmetric, so under ``abs_sum`` beta* = 0 and e_perp = C^2 sum_jk E|x_j||x_k|.
     """
     p, blocks, rho, variant = covariates.p, covariates.blocks, covariates.rho, covariates.variant
-    if variant in ("isotropic_normal", "scaled_product"):  # isotropic draws ignore sigma_half
-        S = covariates.sigma_half
-        root = S if variant == "scaled_product" and S is not None else np.eye(p)
+    if variant in ("isotropic_normal", "scaled_product"):
+        root = np.eye(p) if covariates.sigma_half is None else covariates.sigma_half
     elif variant == "normal_block":
         root = _block_chol(p, blocks, rho)
     elif variant == "copula_uniform":

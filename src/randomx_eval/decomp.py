@@ -100,7 +100,10 @@ def _conditional_moments(smoother: SmootherSpec, X: np.ndarray, fX: np.ndarray, 
     fit_s, var_s = op.apply(c, None, sigma2)
     bias_s = float(np.mean((fit_s - fX) ** 2))
     if isinstance(test, X0Moments):
-        return ConditionalMoments(bias_s, var_s, *op.integrate(c, test, sigma2))
+        bias_r, var_r = op.integrate(c, test, sigma2)
+        if smoother.lam == 0.0 and test.e_perp == 0.0:  # f = x' beta*, which least squares fits
+            bias_s = bias_r = 0.0
+        return ConditionalMoments(bias_s, var_s, bias_r, var_r)
     X0, fX0 = test
     fit_r, var_r = op.apply(c, X0, sigma2)
     return ConditionalMoments(bias_s, var_s, float(np.mean((fit_r - fX0) ** 2)), var_r)
@@ -213,10 +216,6 @@ class OcvConditionalDecomp:
 
     v_of_X: float
     b_of_X: float
-
-    @property
-    def total(self) -> float:
-        return self.v_of_X + self.b_of_X
 
 
 def ocv_conditional(X, fX, smoother: SmootherSpec, sigma2: float) -> OcvConditionalDecomp:

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datagen import _check_variant
 from .errors import DegenerateNeighbors, NotPositiveDefinite, RankDeficient
 from .linalg import _cho_solve, _cholesky_spd, _tri_solve
 
@@ -58,7 +59,6 @@ __all__ = [
     "kernel_matrix",
 ]
 
-_VARIANTS = ("least_squares", "ridge", "kernel_ridge", "knn")
 _KERNELS = ("gaussian", "linear")
 
 
@@ -71,6 +71,14 @@ class SmootherSpec:
     distance of the training covariates), ``k`` is the neighbor count.
     """
 
+    #: Each variant's fields, with their JSON kinds; the rest keep their defaults.
+    FIELDS = {
+        "least_squares": {},
+        "ridge": {"lam": float},
+        "kernel_ridge": {"lam": float, "kernel": str, "bandwidth": float},
+        "knn": {"k": int},
+    }
+
     variant: str
     lam: float = 0.0
     kernel: str = "gaussian"
@@ -78,18 +86,16 @@ class SmootherSpec:
     k: int = 1
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown smoother variant {self.variant!r}")
+        _check_variant(self, "smoother")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError("lam must be finite and >= 0")
-        if self.variant == "kernel_ridge":
-            if self.lam <= 0.0:
-                raise ValueError("kernel ridge requires lam > 0")
-            if self.kernel not in _KERNELS:
-                raise ValueError(f"unknown kernel {self.kernel!r}")
-            if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
-                raise ValueError("bandwidth must be finite and > 0")
-        if self.variant == "knn" and self.k < 1:
+        if self.variant == "kernel_ridge" and self.lam <= 0.0:
+            raise ValueError("kernel ridge requires lam > 0")
+        if self.kernel not in _KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel!r}")
+        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be finite and > 0")
+        if self.k < 1:
             raise ValueError("k must be >= 1")
 
     @classmethod

@@ -21,6 +21,7 @@ import randomx_eval
 from randomx_eval._pool import USER_BLAS_ENV, _blas_pools, blas_threads
 from randomx_eval.cli import _read_dataset, bundled_config_path, main
 from randomx_eval.criteria import criteria_report
+from randomx_eval.datagen import CovariateModel, MeanModel
 from randomx_eval.errors import ConfigError, ParseError
 from randomx_eval.experiments import CRITERIA_METHODS
 from randomx_eval.smoothers import SmootherSpec, fit
@@ -112,6 +113,11 @@ class TestEval:
         assert code == 0 and "rcp_hat" in out
         code, _, err = run_cli(capsys, "eval", path, "--smoother", "ridge")
         assert code == 2 and "--lam" in err
+
+    def test_lam_without_ridge_is_config_error(self, tmp_path, capsys):
+        path, _, _ = write_dataset(tmp_path)
+        code, out, err = run_cli(capsys, "eval", path, "--lam", "100")
+        assert code == 2 and out == "" and err.startswith("error:") and "--lam" in err
 
     @pytest.mark.parametrize("flags", [
         ("--sigma2", "nan"), ("--sigma2", "inf"), ("--sigma2", "-1"),
@@ -478,6 +484,94 @@ class TestRidgeRatio:
     def test_p_must_be_below_n(self, capsys):
         code, _, err = run_cli(capsys, "ridge-ratio", "--n", "10", "--p", "10", "--reps", "3")
         assert code == 2 and "p" in err
+
+
+# --------------------------------------------------------------------------
+# per-variant model fields
+# --------------------------------------------------------------------------
+
+MODELS = {"covariates": CovariateModel, "mean": MeanModel, "smoother": SmootherSpec}
+WHERE = {"covariates": "scenarios[0].covariates", "mean": "scenarios[0].mean",
+         "smoother": "smoother"}
+JSON_KINDS = {int: "integer", float: "number", str: "string", list: "array"}
+# a value off its default for every model field, as JSON
+OFF_DEFAULT = {"blocks": 3, "rho": 0.5, "base": "uniform", "sigma_half": np.eye(3).tolist(),
+               "C": 2.0, "beta": [1.0, 2.0, 3.0], "lam": 1.0, "kernel": "linear",
+               "bandwidth": 1.0, "k": 2}
+UNREAD = [
+    (model, variant, key)
+    for model, cls in MODELS.items()
+    for variant, reads in cls.FIELDS.items()
+    for key in OFF_DEFAULT
+    if key not in reads and key in cls.__dataclass_fields__
+]
+
+
+def _construct(model, variant, **fields):
+    fields = {k: np.asarray(v) if k in ("sigma_half", "beta") else v for k, v in fields.items()}
+    return MODELS[model](variant, *((3,) if model == "covariates" else ()), **fields)
+
+
+def _config_with(tmp_path, model, spec):
+    """The default config with ``spec`` as its smoother, or as a model of its one scenario."""
+    if model == "smoother":
+        return write_config(tmp_path, p=3, smoother=spec)
+    scenario = {"name": "s", "covariates": {"variant": "isotropic_normal"},
+                "mean": {"variant": "linear_sum"}, model: spec}
+    return write_config(tmp_path, p=3, scenarios=[scenario])
+
+
+class TestModelFields:
+    def test_readme_table_matches_the_code(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = {model: {} for model in MODELS}
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 3 and cells[0].strip("`") in MODELS:
+                fields = {}
+                for item in filter(None, cells[2].split(",")):
+                    key, kind = item.split()
+                    fields[key.strip("`")] = kind.strip("()")
+                table[cells[0].strip("`")][cells[1].strip("`")] = fields
+        code = {model: {variant: {key: JSON_KINDS[kind] for key, kind in reads.items()}
+                        for variant, reads in cls.FIELDS.items()}
+                for model, cls in MODELS.items()}
+        assert table == code
+
+    def test_every_field_has_an_off_default_value(self):
+        fields = {f for cls in MODELS.values() for f in cls.__dataclass_fields__}
+        assert fields - {"variant", "p"} == set(OFF_DEFAULT)
+
+    @pytest.mark.parametrize("model, variant, key", UNREAD,
+                             ids=["-".join(case) for case in UNREAD])
+    def test_unread_field_is_rejected(self, tmp_path, capsys, model, variant, key):
+        with pytest.raises(ValueError, match=f"{variant} does not read {key}"):
+            _construct(model, variant, **{key: OFF_DEFAULT[key]})
+        base = {"variant": variant, **{k: OFF_DEFAULT[k] for k in MODELS[model].FIELDS[variant]}}
+        _construct(model, **base)  # the spec is valid without the unread key
+        config = _config_with(tmp_path, model, {**base, key: OFF_DEFAULT[key]})
+        code, _, err = run_cli(capsys, "decompose", "--config", config)
+        assert code == 2
+        assert err.startswith(f"error: config field '{WHERE[model]}.{key}': unknown key for variant")
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_unknown_variant_is_named_as_such(self, tmp_path, capsys, model):
+        with pytest.raises(ValueError, match="unknown .* variant 'no_such'"):
+            _construct(model, "no_such")
+        config = _config_with(tmp_path, model, {"variant": "no_such", "rho": 0.5, "lam": 1.0})
+        code, _, err = run_cli(capsys, "decompose", "--config", config)
+        assert code == 2
+        assert err.startswith(f"error: config field '{WHERE[model]}.variant': unknown variant")
+
+    @pytest.mark.parametrize("model, spec", [
+        ("smoother", {"variant": "least_squares", "lam": 50.0}),
+        ("covariates", {"variant": "isotropic_normal", "rho": 0.9, "blocks": 2, "base": "rademacher"}),
+        ("smoother", {"variant": "knn", "k": 3, "lam": 1.0, "kernel": "linear"}),
+    ])
+    def test_configs_with_unread_fields_exit_2(self, tmp_path, capsys, model, spec):
+        code, _, err = run_cli(capsys, "decompose", "--config", _config_with(tmp_path, model, spec))
+        unread = [key for key in spec if key not in ("variant", *MODELS[model].FIELDS[spec["variant"]])]
+        assert code == 2 and f"'{WHERE[model]}.{unread[0]}'" in err
 
 
 def test_import_leaves_scipy_special_unloaded():

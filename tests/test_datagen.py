@@ -322,9 +322,10 @@ class TestX0Moments:
         np.testing.assert_allclose(block @ block.T, block_correlation(6, 2, 0.5), atol=1e-15)
         S = np.array([[2.0, 0.5], [0.5, 1.0]])
         assert x0_moments(CovariateModel.scaled_product(2, sigma_half=S), linear).root is S
-        # isotropic draws ignore a sigma_half, so its moments must too
-        iso = x0_moments(CovariateModel("isotropic_normal", 2, sigma_half=S), linear).root
-        assert np.array_equal(iso, np.eye(2))
+        assert np.array_equal(x0_moments(CovariateModel.isotropic(2), linear).root, np.eye(2))
+        # an isotropic law cannot carry a sigma_half, so its moments cannot disagree with its draws
+        with pytest.raises(ValueError, match="sigma_half"):
+            CovariateModel("isotropic_normal", 2, sigma_half=S)
 
     def test_normal_abs_moment_anchors(self):
         # e_perp = C^2 sum_jk E|x_j||x_k|, with E x_j^2 = 1 and E|x_j||x_k| = 2/pi at rho = 0

@@ -293,6 +293,19 @@ class TestEstimateDecomposition:
         assert est.err_r == est.err_s + est.Bplus + est.Vplus
         assert est.reps == 200
 
+    @pytest.mark.parametrize("cov, mean", [
+        (CovariateModel.isotropic(4), MeanModel.linear_sum()),
+        (CovariateModel.copula_uniform(4, 2, 0.7), MeanModel.abs_sum(0.75)),
+    ], ids=["isotropic_linear", "uniform_abs_sum"])
+    def test_least_squares_bias_is_exactly_zero_where_e_perp_is(self, cov, mean):
+        # f = x' beta*, which least squares fits: B and B+ are 0, not rounding of either sign
+        sc = _scenario(covariates=cov, mean=mean, n=40, reps=3, seed=1)
+        assert x0_moments(cov, mean).e_perp == 0.0
+        est = estimate_decomposition(sc, SmootherSpec.least_squares())
+        assert (est.B, est.se_B, est.Bplus, est.se_Bplus) == (0.0, 0.0, 0.0, 0.0)
+        ridge = estimate_decomposition(sc, SmootherSpec.ridge(1.0))
+        assert ridge.B > 0.0 and ridge.se_B > 0.0
+
     def test_vplus_matches_exact_formula(self):
         from randomx_eval.criteria import vplus_normal_exact
 
@@ -435,7 +448,7 @@ class TestOcvConditional:
         resid = Y - Y @ H.T
         ocv_draws = np.mean((resid / (1 - h)) ** 2, axis=1)
         se = ocv_draws.std(ddof=1) / np.sqrt(T)
-        assert abs(dec.total - ocv_draws.mean()) <= 3 * se
+        assert abs(dec.v_of_X + dec.b_of_X - ocv_draws.mean()) <= 3 * se
         assert dec.v_of_X == pytest.approx(sigma**2 / n * np.sum(1 / (1 - h)), rel=1e-10)
         assert dec.v_of_X >= sigma**2
 
