@@ -116,7 +116,8 @@ def run_replicates(
     """Evaluate ``fn(0) .. fn(reps-1)``, returning results in index order.
 
     A failing replicate aborts the run with a `ReplicateError` that records
-    the replicate index and master seed needed to reproduce it.  Results are
+    the replicate index and master seed needed to reproduce it (one that
+    ``fn`` raises itself passes through as it is).  Results are
     read in index order, so at any ``threads`` the error names the lowest
     failing replicate, and replicates not yet started are cancelled.
     """
@@ -126,6 +127,8 @@ def run_replicates(
     def checked(r: int) -> T:
         try:
             return fn(r)
+        except ReplicateError:
+            raise
         except Exception as exc:
             raise ReplicateError(r, master_seed, exc) from exc
 

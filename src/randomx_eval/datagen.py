@@ -21,10 +21,11 @@ Every random draw comes from a counter-based Philox stream keyed by
 ``(master_seed, replicate, purpose)`` through `stream`.  Streams for distinct
 keys are independent, and a draw depends only on its own key — never on how
 many worker threads are running or in which order replicates complete — so
-study output is byte-identical across ``--threads``.  The replicate runner
-(`_pool`) runs these draws with BLAS on one thread unless
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; ``eval`` draws
-nothing and keeps the libraries' own BLAS threading.
+study output is byte-identical across ``--threads``.  Decomposition cells
+that share ``(seed, n, reps)`` run in one replicate loop: `draw_covariate_laws`
+draws their ``TRAIN`` (and ``TEST``) rows from one stream per p and base
+marginal, and the cells share one factorization per distinct law, so a cell's
+numbers equal those of running it alone.  Replicate loops run BLAS on one thread.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "NoiseModel",
     "block_correlation",
     "draw_covariates",
+    "draw_covariate_laws",
     "X0Moments",
     "x0_moments",
     "draw_response",
@@ -58,7 +60,12 @@ TRAIN = 0
 NOISE = 1
 TEST = 2
 
-_BASES = ("normal", "uniform", "rademacher")
+#: Each base marginal's draw of a matrix of the given shape; all have zero mean and unit variance.
+_BASES = {
+    "normal": lambda rng, shape: rng.standard_normal(shape),
+    "uniform": lambda rng, shape: rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=shape),
+    "rademacher": lambda rng, shape: rng.integers(0, 2, size=shape) * 2.0 - 1.0,
+}
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -189,31 +196,50 @@ def _block_chol(p: int, blocks: int, rho: float) -> np.ndarray:
     return L
 
 
-def draw_covariates(model: CovariateModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an (n, p) covariate matrix with i.i.d. rows from ``model``."""
+def _derivation(model: CovariateModel, n: int) -> list:
+    """``(key, step)`` pairs from ``open_stream`` to n rows of ``model``; a key names its prefix."""
+    p, base = model.p, model.base
+    key = (p, base)
+    steps = [(key, lambda open_stream: _BASES[base](open_stream(), (n, p)))]
+    if model.variant in ("isotropic_normal", "scaled_product"):
+        S = model.sigma_half
+        return steps if S is None else steps + [(key + (S.tobytes(),), lambda Z: Z @ S)]
+    L = _block_chol(p, model.blocks, model.rho)  # a block law's base is normal
+    key += (model.blocks, model.rho)
+    steps.append((key, lambda Z: Z @ L.T))
+    if model.variant != "normal_block":
+        from scipy.special import ndtr  # on first use: importing it costs about 65 ms
+        steps.append((key + ("ndtr",), ndtr))
+    if model.variant == "copula_t4":
+        steps.append((key + ("ndtr", "t4"), lambda U: quantile_t(U, 4.0)))
+    return steps
+
+
+def draw_covariate_laws(models, n: int, open_stream, then=lambda X: X):
+    """Yield ``then`` of an (n, p) matrix with i.i.d. rows from each law of ``models``, in order.
+
+    Laws share the steps of `_derivation` whose keys agree, ``then`` included: one base draw per p
+    and base from one ``open_stream()``, G per ``(blocks, rho)``, and ndtr(G).  Each matrix equals
+    its law drawn alone from a fresh ``open_stream()``.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = model.p
-    if model.variant in ("isotropic_normal", "scaled_product"):
-        if model.base == "normal":
-            Z = rng.standard_normal((n, p))
-        elif model.base == "uniform":
-            Z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, p))
-        else:  # rademacher
-            Z = rng.integers(0, 2, size=(n, p)) * 2.0 - 1.0
-        if model.sigma_half is None:
-            return Z
-        return Z @ model.sigma_half
-    # block-correlated normal, possibly pushed through a copula
-    L = _block_chol(p, model.blocks, model.rho)
-    G = rng.standard_normal((n, p)) @ L.T
-    if model.variant == "normal_block":
-        return G
-    from scipy.special import ndtr  # on first use: importing it costs about 65 ms
-    U = ndtr(G)
-    if model.variant == "copula_uniform":
-        return U
-    return quantile_t(U, 4.0)  # copula_t4
+    chains = [_derivation(model, n) for model in models]
+    chains = [chain + [(chain[-1][0] + ("then",), then)] for chain in chains]
+    last = {key: i for i, chain in enumerate(chains) for key, _ in chain}
+    kept: dict = {}  # results a later law still needs
+    for i, chain in enumerate(chains):
+        x = open_stream
+        for key, step in chain:
+            x = kept.pop(key) if key in kept else step(x)
+            if last[key] > i:
+                kept[key] = x
+        yield x
+
+
+def draw_covariates(model: CovariateModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw an (n, p) covariate matrix with i.i.d. rows from ``model``."""
+    return next(draw_covariate_laws([model], n, lambda: rng))
 
 
 # --------------------------------------------------------------------------

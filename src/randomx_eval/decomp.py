@@ -36,11 +36,12 @@ import numpy as np
 
 from ._pool import run_replicates
 from .criteria import LEVERAGE_TOL, _check_sigma2
-from .datagen import TEST, TRAIN, X0Moments, draw_covariates, stream, x0_moments
-from .errors import LeverageOne
-from .smoothers import SmootherSpec, _as_xy, _factorize
+from .datagen import TEST, TRAIN, X0Moments, draw_covariate_laws, stream, x0_moments
+from .errors import LeverageOne, ReplicateError
+from .smoothers import SmootherSpec, _as_xy, _factorize, _Operator
 
 # Unused here, but perfbench/tracer.py wraps these names as bound in this module.
+from .datagen import draw_covariates  # noqa: F401
 from .linalg import _cholesky_spd  # noqa: F401
 from .smoothers import gaussian_bandwidth, kernel_matrix, neighbor_sets  # noqa: F401
 
@@ -89,19 +90,18 @@ def conditional_moments(
     if X0.shape[1] != X.shape[1]:
         raise ValueError(f"X0 must be (m, {X.shape[1]})")
     _check_sigma2(sigma2)
-    return _conditional_moments(smoother, X, fX, sigma2, (X0, fX0))
+    return _conditional_moments(_factorize(smoother, X), fX, sigma2, (X0, fX0))
 
 
-def _conditional_moments(smoother: SmootherSpec, X: np.ndarray, fX: np.ndarray, sigma2: float,
+def _conditional_moments(op: _Operator, fX: np.ndarray, sigma2: float,
                          test: tuple[np.ndarray, np.ndarray] | X0Moments) -> ConditionalMoments:
-    """`conditional_moments` unchecked; ``test`` is ``(X0, f(X0))`` or the `X0Moments` of x0."""
-    op = _factorize(smoother, X)
+    """`conditional_moments` unchecked, on X's operator; ``test`` is (X0, f(X0)) or `X0Moments`."""
     c = op.solve(fX)
     fit_s, var_s = op.apply(c, None, sigma2)
     bias_s = float(np.mean((fit_s - fX) ** 2))
     if isinstance(test, X0Moments):
         bias_r, var_r = op.integrate(c, test, sigma2)
-        if smoother.lam == 0.0 and test.e_perp == 0.0:  # f = x' beta*, which least squares fits
+        if op.spec.lam == 0.0 and test.e_perp == 0.0:  # f = x' beta*, which least squares fits
             bias_s = bias_r = 0.0
         return ConditionalMoments(bias_s, var_s, bias_r, var_r)
     X0, fX0 = test
@@ -153,52 +153,69 @@ def estimate_decomposition(
     ``(seed, r, TRAIN)`` and, unless x0 is integrated out (module docstring),
     an n-row test matrix from ``(seed, r, TEST)``; the moments given that draw
     are exact, so their means over ``scenario.reps`` replicates are unbiased
-    estimates of all four terms.  Output is identical for any ``threads``.
+    estimates of all four terms.  Output is identical for any ``threads`` and
+    equals this scenario's row of `experiments.run_decomposition_study`, which
+    runs cells that share ``(seed, n, reps)`` in one loop, sharing each
+    replicate's draws and one factorization per distinct covariate law.
     """
-    reps = scenario.reps
-    n = scenario.n
-    seed = scenario.seed
-    sigma2 = scenario.noise.sigma2
-    cov = scenario.covariates
-    mean = scenario.mean
-    moments = x0_moments(cov, mean) if smoother.variant in ("least_squares", "ridge") else None
+    return _estimate_group([scenario], smoother, threads)[0]
 
-    def one_rep(r: int) -> ConditionalMoments:
-        X = draw_covariates(cov, n, stream(seed, r, TRAIN))
-        test = moments
-        if test is None:
-            X0 = draw_covariates(cov, n, stream(seed, r, TEST))
-            test = (X0, mean.evaluate(X0))
-        return _conditional_moments(smoother, X, mean.evaluate(X), sigma2, test)
 
-    rows = np.array(run_replicates(one_rep, reps, threads, seed))
-    bias_s, var_s, bias_r, var_r = rows.T
+def _estimate_group(scenarios: "list[ScenarioConfig]", smoother: SmootherSpec,
+                    threads: int) -> list[DecompositionEstimate]:
+    """`estimate_decomposition` of each scenario, in one loop: they share ``(seed, n, reps)``."""
+    seed, n, reps = scenarios[0].seed, scenarios[0].n, scenarios[0].reps
+    exact = smoother.variant in ("least_squares", "ridge")
+    moments = [x0_moments(sc.covariates, sc.mean) if exact else None for sc in scenarios]
+    sampled = [sc.covariates for sc, m in zip(scenarios, moments) if m is None]
+
+    def one_rep(r: int) -> list[ConditionalMoments]:
+        ops = draw_covariate_laws([sc.covariates for sc in scenarios], n,
+                                  lambda: stream(seed, r, TRAIN), lambda X: _factorize(smoother, X))
+        X0s = draw_covariate_laws(sampled, n, lambda: stream(seed, r, TEST))
+        out = []
+        for sc, test in zip(scenarios, moments):
+            try:
+                op = next(ops)
+                if test is None:
+                    X0 = next(X0s)
+                    test = (X0, sc.mean.evaluate(X0))
+                out.append(_conditional_moments(op, sc.mean.evaluate(op.X), sc.noise.sigma2, test))
+            except Exception as exc:
+                raise ReplicateError(r, seed, exc, sc.name) from exc
+            del op  # free this cell's operator before the next one is built
+        return out
 
     def se(x: np.ndarray) -> float:
         return float(np.std(x, ddof=1) / np.sqrt(reps))
 
-    B = float(np.mean(bias_s))
-    V = float(np.mean(var_s))
-    Bplus = float(np.mean(bias_r - bias_s))
-    Vplus = float(np.mean(var_r - var_s))
-    err_s = sigma2 + B + V
-    return DecompositionEstimate(
-        sigma2=sigma2,
-        B=B,
-        se_B=se(bias_s),
-        V=V,
-        se_V=se(var_s),
-        Bplus=Bplus,
-        se_Bplus=se(bias_r - bias_s),
-        Vplus=Vplus,
-        se_Vplus=se(var_r - var_s),
-        err_s=err_s,
-        se_err_s=se(bias_s + var_s),
-        err_r=err_s + Bplus + Vplus,
-        se_err_r=se(bias_r + var_r),
-        se_gap=se((bias_r + var_r) - (bias_s + var_s)),
-        reps=reps,
-    )
+    estimates = []
+    cells = np.array(run_replicates(one_rep, reps, threads, seed)).transpose(1, 2, 0)
+    for sc, (bias_s, var_s, bias_r, var_r) in zip(scenarios, cells):
+        sigma2 = sc.noise.sigma2
+        B = float(np.mean(bias_s))
+        V = float(np.mean(var_s))
+        Bplus = float(np.mean(bias_r - bias_s))
+        Vplus = float(np.mean(var_r - var_s))
+        err_s = sigma2 + B + V
+        estimates.append(DecompositionEstimate(
+            sigma2=sigma2,
+            B=B,
+            se_B=se(bias_s),
+            V=V,
+            se_V=se(var_s),
+            Bplus=Bplus,
+            se_Bplus=se(bias_r - bias_s),
+            Vplus=Vplus,
+            se_Vplus=se(var_r - var_s),
+            err_s=err_s,
+            se_err_s=se(bias_s + var_s),
+            err_r=err_s + Bplus + Vplus,
+            se_err_r=se(bias_r + var_r),
+            se_gap=se((bias_r + var_r) - (bias_s + var_s)),
+            reps=reps,
+        ))
+    return estimates
 
 
 # --------------------------------------------------------------------------

@@ -46,11 +46,11 @@ class ParseError(ValueError):
 
 
 class ReplicateError(RuntimeError):
-    """A Monte Carlo replicate failed; records the seed needed to reproduce it."""
+    """A Monte Carlo replicate failed; ``seed``, ``replicate`` and ``scenario`` reproduce it."""
 
-    def __init__(self, replicate: int, seed: int, cause: BaseException):
+    def __init__(self, replicate: int, seed: int, cause: BaseException, scenario=None):
         self.replicate = replicate
         self.seed = seed
-        super().__init__(
-            f"replicate {replicate} (master seed {seed}) failed: {cause!r}"
-        )
+        self.scenario = scenario
+        cell = "" if scenario is None else f" of scenario {scenario!r}"
+        super().__init__(f"replicate {replicate}{cell} (master seed {seed}) failed: {cause!r}")

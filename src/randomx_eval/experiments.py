@@ -49,7 +49,8 @@ from .datagen import (
     draw_response,
     stream,
 )
-from .decomp import DecompositionEstimate, estimate_decomposition
+# estimate_decomposition is unused here, but perfbench/tracer.py wraps it as bound in this module.
+from .decomp import DecompositionEstimate, _estimate_group, estimate_decomposition  # noqa: F401
 from .smoothers import FittedSmoother, SmootherSpec, fit, predict
 
 __all__ = [
@@ -123,9 +124,18 @@ def run_decomposition_study(
     smoother: SmootherSpec | None = None,
     threads: int = 1,
 ) -> list[tuple[ScenarioConfig, DecompositionEstimate]]:
-    """Decomposition estimates for each scenario (default: least squares)."""
+    """Decomposition estimates for each scenario (default: least squares).
+
+    Scenarios that share ``(seed, n, reps)`` run in one replicate loop, sharing each replicate's
+    ``TRAIN`` and ``TEST`` draws and one factorization per distinct covariate law; a scenario's
+    numbers equal those of `estimate_decomposition` run on it alone.
+    """
     smoother = smoother or SmootherSpec.least_squares()
-    return [(sc, estimate_decomposition(sc, smoother, threads=threads)) for sc in scenarios]
+    out = {}
+    for key in dict.fromkeys((sc.seed, sc.n, sc.reps) for sc in scenarios):
+        group = [i for i, sc in enumerate(scenarios) if (sc.seed, sc.n, sc.reps) == key]
+        out.update(zip(group, _estimate_group([scenarios[i] for i in group], smoother, threads)))
+    return [(sc, out[i]) for i, sc in enumerate(scenarios)]
 
 
 # --------------------------------------------------------------------------

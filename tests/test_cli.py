@@ -356,6 +356,18 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", "--config", config)
         assert code == 3 and "replicate" in err
 
+    def test_failing_cell_of_a_group_is_named(self, tmp_path, capsys):
+        config = write_config(tmp_path, scenarios=[
+            {"name": "iso", "covariates": {"variant": "isotropic_normal"},
+             "mean": {"variant": "linear_sum"}},
+            {"name": "zero-column", "covariates": {"variant": "scaled_product",
+                                                   "sigma_half": np.diag([1.0, 1.0, 0.0]).tolist()},
+             "mean": {"variant": "linear_sum"}},
+        ])
+        code, out, err = run_cli(capsys, "decompose", "--config", config)
+        assert code == 3 and out == ""
+        assert err.startswith("error: replicate 0 of scenario 'zero-column' (master seed 2)")
+
     @pytest.mark.parametrize("where, key, field", [
         ((), "sigmaa", "sigmaa"),
         (("scenarios", 0), "means", "scenarios[0].means"),

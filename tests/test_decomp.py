@@ -334,6 +334,19 @@ class TestEstimateDecomposition:
         assert err.value.replicate == 0 and err.value.seed == 77
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_cell_of_a_group_is_named(self, threads):
+        ok = _scenario(covariates=CovariateModel.isotropic(4), n=10, reps=5, seed=77, name="ok")
+        singular = replace(ok, name="singular", covariates=CovariateModel.scaled_product(
+            4, sigma_half=np.diag([1.0, 1.0, 1.0, 0.0])))  # X has a zero column
+        with pytest.raises(ReplicateError) as err:
+            decomp._estimate_group([ok, singular], SmootherSpec.least_squares(), threads)
+        e = err.value
+        assert (e.replicate, e.seed, e.scenario) == (0, 77, "singular")
+        assert "replicate 0 of scenario 'singular' (master seed 77)" in str(e)
+        assert isinstance(e.__cause__, RankDeficient)
+        assert estimate_decomposition(ok, SmootherSpec.least_squares()).reps == 5
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_lowest_failing_replicate_reported_at_any_thread_count(self, threads):
         def fn(r):
             if r == 0:
@@ -410,23 +423,43 @@ def test_exact_bias_of_a_linear_mean_is_rounding_and_nonnegative():
                 assert 0.0 <= bias_r < 1e-20
 
 
-@pytest.mark.parametrize("spec, cov, mean, draws", [
-    (SmootherSpec.least_squares(), LAWS["normal_block"], MeanModel.abs_sum(0.75), 1),
-    (SmootherSpec.ridge(2.0), LAWS["copula_t4"], MeanModel.linear_sum(), 1),
-    (SmootherSpec.knn(3), LAWS["normal_block"], MeanModel.abs_sum(0.75), 2),
-    (SmootherSpec.kernel_ridge(1.0), LAWS["normal_block"], MeanModel.abs_sum(0.75), 2),
-    (SmootherSpec.least_squares(), LAWS["scaled_uniform"], MeanModel.abs_sum(0.75), 2),
-], ids=["ls", "ridge", "knn", "kernel_ridge", "ls_uniform_base_abs_sum"])
-def test_x0_is_sampled_only_without_exact_moments(monkeypatch, spec, cov, mean, draws):
-    calls = []
+#: The six cells of the bundled ``high_dim.json``: three laws, each under two means.
+HIGH_DIM_CELLS = [(CovariateModel(variant, 50, blocks=5, rho=0.9), mean)
+                  for mean in (MeanModel.linear_sum(), MeanModel.abs_sum(0.75))
+                  for variant in ("normal_block", "copula_uniform", "copula_t4")]
 
-    def counted(*args):
-        calls.append(args[1])
-        return draw_covariates(*args)
 
-    monkeypatch.setattr(decomp, "draw_covariates", counted)
-    est = estimate_decomposition(_scenario(covariates=cov, mean=mean, n=20, reps=4), spec)
-    assert len(calls) == 4 * draws and est.reps == 4
+@pytest.mark.parametrize("spec, cells, n, tests, designs", [
+    (SmootherSpec.least_squares(), [(LAWS["normal_block"], MeanModel.abs_sum(0.75))], 20, 0, 1),
+    (SmootherSpec.ridge(2.0), [(LAWS["copula_t4"], MeanModel.linear_sum())], 20, 0, 1),
+    (SmootherSpec.knn(3), [(LAWS["normal_block"], MeanModel.abs_sum(0.75))], 20, 1, 1),
+    (SmootherSpec.kernel_ridge(1.0), [(LAWS["normal_block"], MeanModel.abs_sum(0.75))], 20, 1, 1),
+    (SmootherSpec.least_squares(), [(LAWS["scaled_uniform"], MeanModel.abs_sum(0.75))], 20, 1, 1),
+    (SmootherSpec.least_squares(), HIGH_DIM_CELLS, 100, 0, 3),
+    (SmootherSpec.knn(3), [(LAWS["normal_block"], MeanModel.abs_sum(0.75)),
+                           (LAWS["copula_t4"], MeanModel.abs_sum(0.75))], 20, 1, 2),
+], ids=["ls", "ridge", "knn", "kernel_ridge", "ls_uniform_base_abs_sum", "ls_high_dim_six_cells",
+        "knn_two_cells"])
+def test_x0_is_sampled_only_without_exact_moments(monkeypatch, spec, cells, n, tests, designs):
+    # per replicate: one TRAIN stream for every cell, a TEST stream only where x0 is
+    # sampled, and one factorization per distinct design
+    purposes, factorized = [], []
+
+    def counted_stream(seed, r, purpose):
+        purposes.append(purpose)
+        return stream(seed, r, purpose)
+
+    def counted_factorize(smoother, X):
+        factorized.append(X)
+        return _factorize(smoother, X)
+
+    monkeypatch.setattr(decomp, "stream", counted_stream)
+    monkeypatch.setattr(decomp, "_factorize", counted_factorize)
+    group = [_scenario(covariates=cov, mean=mean, n=n, reps=4) for cov, mean in cells]
+    ests = decomp._estimate_group(group, spec, 1)
+    assert [est.reps for est in ests] == [4] * len(cells)
+    assert sorted(purposes) == [TRAIN] * 4 + [TEST] * (4 * tests)
+    assert len(factorized) == 4 * designs
 
 
 # --------------------------------------------------------------------------

@@ -120,6 +120,31 @@ class TestDecompositionStudy:
         for _, est in out:
             assert est.reps == 40 and est.se_Vplus > 0
 
+    @pytest.mark.parametrize("spec", [
+        SmootherSpec.least_squares(), SmootherSpec.ridge(2.0), SmootherSpec.knn(3),
+        SmootherSpec.kernel_ridge(1.0),
+    ], ids=lambda spec: spec.variant)
+    def test_grouped_cells_equal_cells_run_alone(self, spec):
+        S = np.array([[1.5, 0.4, 0.0, -0.3], [0.4, 1.0, 0.2, 0.0], [0.0, 0.2, 0.8, 0.1],
+                      [-0.3, 0.0, 0.1, 1.2]])
+        laws = [CovariateModel.normal_block(4, 2, 0.7), CovariateModel.copula_uniform(4, 2, 0.7),
+                CovariateModel.copula_t4(4, 2, 0.7), CovariateModel.normal_block(4, 2, 0.3),
+                CovariateModel.isotropic(4), CovariateModel.scaled_product(4, "normal", S),
+                CovariateModel.scaled_product(4, "normal", np.diag([1.0, 2.0, 0.5, 1.5])),
+                CovariateModel.scaled_product(4, "rademacher")]
+        means = (MeanModel.linear_sum(), MeanModel.abs_sum(0.75))
+        cells = [(law, mean) for law in laws for mean in means]
+        cells.append((CovariateModel.scaled_product(4, "uniform", S), MeanModel.abs_sum(0.75)))
+        groups = [dict(seed=5, n=20, reps=4), dict(seed=5, n=24, reps=4),  # each differs from
+                  dict(seed=9, n=20, reps=4), dict(seed=5, n=20, reps=3)]  # the first in one key
+        scenarios = [small_scenario(covariates=law, mean=mean, name=f"cell{i}", **groups[i % 4])
+                     for i, (law, mean) in enumerate(cells)]
+        alone = [estimate_decomposition(sc, spec) for sc in scenarios]
+        for threads in (1, 2):
+            out = run_decomposition_study(scenarios, spec, threads=threads)
+            assert [id(sc) for sc, _ in out] == [id(sc) for sc in scenarios]
+            assert [est for _, est in out] == alone
+
     def test_standard_errors_shrink_like_root_reps(self):
         sc = small_scenario(n=40, p=5, covariates=CovariateModel.copula_uniform(5, 1, 0.3))
         half = estimate_decomposition(replace(sc, reps=300), SmootherSpec.least_squares())
