@@ -29,18 +29,20 @@ from randomx_eval import (
 
 n, p, sigma, reps = 100, 50, 20.0, 300
 block = CovariateModel.normal_block(p, 5, 0.9)
+labels = ["linear mean (unbiased fit)", "abs-sum mean (biased fit)"]
+scenarios = [
+    ScenarioConfig(covariates=block, mean=mean, noise=NoiseModel(sigma),
+                   n=n, test_m=2000, reps=reps, seed=1, name=label)
+    for mean, label in zip([MeanModel.linear_sum(), MeanModel.abs_sum(0.75)], labels)
+]
+# one replicate loop: both cells fit the same X and noise and score on the same test rows
+rows = run_criteria_study(scenarios, threads=2)
 
-for mean, label in [
-    (MeanModel.linear_sum(), "linear mean (unbiased fit)"),
-    (MeanModel.abs_sum(0.75), "abs-sum mean (biased fit)"),
-]:
-    sc = ScenarioConfig(covariates=block, mean=mean, noise=NoiseModel(sigma),
-                        n=n, test_m=2000, reps=reps, seed=1, name=label)
-    rows = run_criteria_study(sc, threads=2)
+for label in labels:
     print(f"\n{label}: n={n}, p={p}, sigma={sigma:g}, {reps} replicates")
     print(f"  {'method':<8} {'mse':>10} {'bias^2':>10} {'variance':>10} {'vs OCV':>8}"
           f" {'mse ErrR':>10} {'vs OCV':>8}")
-    for r in rows:
+    for r in (r for r in rows if r.scenario == label):
         print(f"  {r.method:<8} {r.mse:10.1f} {r.bias2:10.1f} "
               f"{r.variance:10.1f} {r.rel_to_ocv:8.3f}"
               f" {r.mse_err_r:10.1f} {r.rel_to_ocv_err_r:8.3f}")

@@ -341,8 +341,7 @@ def cmd_criteria(args):
         raise ConfigError("criteria study supports least squares only", field="smoother")
     rows = [
         [row.scenario, row.method, row.mse, row.bias2, row.variance, row.rel_to_ocv]
-        for sc in scenarios
-        for row in _study(run_criteria_study, sc, threads=threads)
+        for row in _study(run_criteria_study, scenarios, threads=threads)
     ]
     header = ["scenario", "method", "mse", "bias2", "variance", "rel_to_ocv"]
     return header, rows, raw, scenarios[0].seed, threads

@@ -22,10 +22,12 @@ Every random draw comes from a counter-based Philox stream keyed by
 keys are independent, and a draw depends only on its own key — never on how
 many worker threads are running or in which order replicates complete — so
 study output is byte-identical across ``--threads``.  Decomposition cells
-that share ``(seed, n, reps)`` run in one replicate loop: `draw_covariate_laws`
-draws their ``TRAIN`` (and ``TEST``) rows from one stream per p and base
-marginal, and the cells share one factorization per distinct law, so a cell's
-numbers equal those of running it alone.  Replicate loops run BLAS on one thread.
+that share ``(seed, n, reps)``, and criteria cells that also share ``test_m``,
+run in one replicate loop: `draw_covariate_laws` draws their ``TRAIN`` (and
+``TEST``) rows from one stream per p and base marginal, criteria cells share
+one ``NOISE`` vector, and the cells share one factorization per distinct law,
+so a cell's numbers equal those of running it alone.  Replicate loops run BLAS
+on one thread.
 """
 
 from __future__ import annotations
@@ -220,19 +222,27 @@ def draw_covariate_laws(models, n: int, open_stream, then=lambda X: X):
 
     Laws share the steps of `_derivation` whose keys agree, ``then`` included: one base draw per p
     and base from one ``open_stream()``, G per ``(blocks, rho)``, and ndtr(G).  Each matrix equals
-    its law drawn alone from a fresh ``open_stream()``.
+    its law drawn alone from a fresh ``open_stream()``.  A law starts from the deepest step an
+    earlier law made, and only such starting steps are kept, until the last law that starts from
+    them: normal-block, uniform and t4 laws on one G, in that order and each result dropped before
+    the next is drawn, hold at most two matrices at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    chains = [_derivation(model, n) for model in models]
+    chains = [[((), None)] + _derivation(model, n) for model in models]  # () is open_stream
     chains = [chain + [(chain[-1][0] + ("then",), then)] for chain in chains]
-    last = {key: i for i, chain in enumerate(chains) for key, _ in chain}
-    kept: dict = {}  # results a later law still needs
-    for i, chain in enumerate(chains):
-        x = open_stream
-        for key, step in chain:
-            x = kept.pop(key) if key in kept else step(x)
-            if last[key] > i:
+    made, starts, last = {()}, [], {}
+    for i, chain in enumerate(chains):  # a key names its prefix, so shared steps lead a chain
+        starts.append(sum(key in made for key, _ in chain))
+        last[chain[starts[i] - 1][0]] = i
+        made.update(key for key, _ in chain)
+    kept = {(): open_stream}  # the steps a later law starts from
+    for i, (chain, start) in enumerate(zip(chains, starts)):
+        key = chain[start - 1][0]
+        x = kept.pop(key) if last[key] == i else kept[key]
+        for key, step in chain[start:]:
+            x = step(x)
+            if last.get(key, -1) > i:
                 kept[key] = x
         yield x
 

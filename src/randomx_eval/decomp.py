@@ -226,9 +226,10 @@ def _estimate_group(scenarios: "list[ScenarioConfig]", smoother: SmootherSpec,
 class OcvConditionalDecomp:
     """Conditional mean of OCV given X, split into variance and bias parts.
 
-    ``v_of_X = (sigma2/n) sum 1/(1-h_ii)`` (always >= sigma2) and
-    ``b_of_X = (1/n) sum (f(x_i) - E[fhat(x_i)|X])^2 / (1-h_ii)^2``;
-    E[OCV | X] = v_of_X + b_of_X for least squares and ridge.
+    ``v_of_X = (sigma2/n) sum (1 - 2 h_ii + |L_i|^2) / (1-h_ii)^2``, with L_i row i of L(X),
+    and ``b_of_X = (1/n) sum (f(x_i) - E[fhat(x_i)|X])^2 / (1-h_ii)^2``; E[OCV | X] =
+    v_of_X + b_of_X for every smoother.  |L_i|^2 >= h_ii^2 makes v_of_X >= sigma2; least
+    squares and kNN have |L_i|^2 = h_ii, so there v_of_X = (sigma2/n) sum 1/(1-h_ii).
     """
 
     v_of_X: float
@@ -248,6 +249,7 @@ def ocv_conditional(X, fX, smoother: SmootherSpec, sigma2: float) -> OcvConditio
     if np.any(h >= 1.0 - LEVERAGE_TOL):
         raise LeverageOne("a leverage is numerically 1")
     n = X.shape[0]
-    v = sigma2 / n * float(np.sum(1.0 / (1.0 - h)))
+    L = op.apply(op.solve(np.eye(n)))[0]  # L(X), one row per training row
+    v = sigma2 / n * float(np.sum((1.0 - 2.0 * h + np.sum(L * L, axis=1)) / (1.0 - h) ** 2))
     b = float(np.mean(((fX - smoothed) / (1.0 - h)) ** 2))
     return OcvConditionalDecomp(v_of_X=v, b_of_X=b)

@@ -45,13 +45,19 @@ from .datagen import (
     CovariateModel,
     MeanModel,
     NoiseModel,
+    _derivation,
+    draw_covariate_laws,
     draw_covariates,
-    draw_response,
     stream,
 )
-# estimate_decomposition is unused here, but perfbench/tracer.py wraps it as bound in this module.
-from .decomp import DecompositionEstimate, _estimate_group, estimate_decomposition  # noqa: F401
-from .smoothers import FittedSmoother, SmootherSpec, fit, predict
+from .decomp import DecompositionEstimate, _estimate_group
+from .errors import ReplicateError
+from .smoothers import FittedSmoother, SmootherSpec, _factorize, predict
+
+# Unused here, but perfbench/tracer.py wraps these names as bound in this module.
+from .datagen import draw_response  # noqa: F401
+from .decomp import estimate_decomposition  # noqa: F401
+from .smoothers import fit  # noqa: F401
 
 __all__ = [
     "ScenarioConfig",
@@ -76,7 +82,8 @@ class ScenarioConfig:
     ``test_m`` is the fresh-test-set size used for the criteria study's
     target; ``reps`` the replicate count; ``seed`` the master seed all
     per-replicate streams derive from.  A ``linear_beta`` mean needs a beta
-    of length p.
+    of length p.  Cells that share ``(seed, n, reps)``, and for the criteria
+    study also ``test_m``, run in one replicate loop.
     """
 
     covariates: CovariateModel
@@ -115,6 +122,17 @@ def err_r_target(
     return sigma2 + float(np.mean((f_test - pred) ** 2))
 
 
+def _by_group(scenarios: list[ScenarioConfig], key, run_group) -> list:
+    """``run_group`` of each group of scenarios with one ``key``, its cells in derivation order
+    (fewest `datagen._derivation` steps first); the results in the scenarios' order."""
+    out = {}
+    for k in dict.fromkeys(map(key, scenarios)):
+        group = sorted((i for i, sc in enumerate(scenarios) if key(sc) == k),
+                       key=lambda i: len(_derivation(scenarios[i].covariates, 1)))
+        out.update(zip(group, run_group([scenarios[i] for i in group])))
+    return [out[i] for i in range(len(scenarios))]
+
+
 # --------------------------------------------------------------------------
 # decomposition study
 # --------------------------------------------------------------------------
@@ -131,11 +149,8 @@ def run_decomposition_study(
     numbers equal those of `estimate_decomposition` run on it alone.
     """
     smoother = smoother or SmootherSpec.least_squares()
-    out = {}
-    for key in dict.fromkeys((sc.seed, sc.n, sc.reps) for sc in scenarios):
-        group = [i for i, sc in enumerate(scenarios) if (sc.seed, sc.n, sc.reps) == key]
-        out.update(zip(group, _estimate_group([scenarios[i] for i in group], smoother, threads)))
-    return [(sc, out[i]) for i, sc in enumerate(scenarios)]
+    return list(zip(scenarios, _by_group(scenarios, lambda sc: (sc.seed, sc.n, sc.reps),
+                                         lambda group: _estimate_group(group, smoother, threads))))
 
 
 # --------------------------------------------------------------------------
@@ -165,65 +180,88 @@ class CriteriaMseRow:
     rel_to_ocv_err_r: float
 
 
-def run_criteria_study(scenario: ScenarioConfig, threads: int = 1) -> list[CriteriaMseRow]:
-    """Score RCp, RCpHat, GCV, RCpPlus and OCV against errR_rep and ErrR.
+def run_criteria_study(scenarios: list[ScenarioConfig], threads: int = 1) -> list[CriteriaMseRow]:
+    """Score RCp, RCpHat, GCV, RCpPlus and OCV against errR_rep and ErrR in each scenario.
 
     Least squares is fit per replicate with the scenario's known noise
     variance used where a criterion needs it; the same fit and test draw
     score every method, so the comparison is paired.  errR_rep is the
     replicate's own conditional error; ErrR is estimated as the mean of
-    errR_rep over all ``scenario.reps`` replicates.  When least squares is unbiased,
+    errR_rep over all ``reps`` replicates.  When least squares is unbiased,
     no function of RSS alone can score an MSE below Var(errR_rep) against
     errR_rep, because RSS is independent of the noise in the fitted
     coefficients that makes most of that variance.
+
+    Rows come in the scenarios' order.  Scenarios that share ``(seed, n, reps,
+    test_m)`` run in one replicate loop, sharing each replicate's ``TRAIN``,
+    ``NOISE`` and ``TEST`` draws and one factorization per distinct covariate
+    law; a scenario's rows equal those it gets alone.
     """
-    reps = scenario.reps
-    n, p = scenario.n, scenario.p
-    if n <= p + 1:
+    if any(sc.n <= sc.p + 1 for sc in scenarios):
         raise ValueError("criteria study needs n > p + 1")
-    sigma2 = scenario.noise.sigma2
-    seed = scenario.seed
+    cells = _by_group(scenarios, lambda sc: (sc.seed, sc.n, sc.reps, sc.test_m),
+                      lambda group: _criteria_group(group, threads))
+    return [row for rows in cells for row in rows]
+
+
+def _criteria_group(scenarios: list[ScenarioConfig], threads: int) -> list[list[CriteriaMseRow]]:
+    """The rows of each scenario, in one loop: they share ``(seed, n, reps, test_m)``."""
+    first = scenarios[0]
+    seed, n, reps, test_m = first.seed, first.n, first.reps, first.test_m
+    laws = [sc.covariates for sc in scenarios]
     spec = SmootherSpec.least_squares()
 
-    def one_rep(r: int) -> tuple[float, ...]:
-        X = draw_covariates(scenario.covariates, n, stream(seed, r, TRAIN))
-        Y, _ = draw_response(X, scenario.mean, scenario.noise, stream(seed, r, NOISE))
-        model = fit(spec, X, Y)
-        resid = model.residuals
-        rss = float(resid @ resid)
-        rcp_v = rcp(rss, n, p, sigma2)
-        values = (
-            rcp_v,
-            rcp_hat(rss, n, p),
-            gcv(rss, n, p),
-            rcp_v + bplus_hat(resid, model.hat_diag, sigma2),
-            ocv(resid, model.hat_diag),
-        )
-        X_test = draw_covariates(scenario.covariates, scenario.test_m, stream(seed, r, TEST))
-        target = err_r_target(model, X_test, scenario.mean.evaluate(X_test), sigma2)
-        return (*values, target)
+    def fitted(X: np.ndarray):
+        op = _factorize(spec, X)
+        return op, op.hat_diag()
 
-    out = np.array(run_replicates(one_rep, reps, threads, seed))
-    crit, target = out[:, :-1], out[:, -1:]
-    dev = crit - target
-    mse = np.mean(dev**2, axis=0)
-    bias = np.mean(dev, axis=0)
-    variance = mse - bias**2
-    mse_err_r = np.mean((crit - target.mean()) ** 2, axis=0)
+    def one_rep(r: int) -> list[tuple[float, ...]]:
+        fits = draw_covariate_laws(laws, n, lambda: stream(seed, r, TRAIN), fitted)
+        tests = draw_covariate_laws(laws, test_m, lambda: stream(seed, r, TEST))
+        eps = stream(seed, r, NOISE).standard_normal(n)
+        out = []
+        for sc in scenarios:
+            try:
+                op, h = next(fits)
+                p, sigma2 = sc.p, sc.noise.sigma2
+                Y = sc.mean.evaluate(op.X) + sc.noise.sigma * eps  # `draw_response`'s Y
+                c = op.solve(Y)
+                resid = Y - op.apply(c)[0]
+                rss = float(resid @ resid)
+                rcp_v = rcp(rss, n, p, sigma2)
+                X0 = next(tests)
+                target = sigma2 + float(np.mean((sc.mean.evaluate(X0) - op.apply(c, X0)[0]) ** 2))
+                out.append((rcp_v, rcp_hat(rss, n, p), gcv(rss, n, p),
+                            rcp_v + bplus_hat(resid, h, sigma2), ocv(resid, h), target))
+            except Exception as exc:
+                raise ReplicateError(r, seed, exc, sc.name) from exc
+            del op, h, X0  # free this cell's fit and test rows before the next cell's are drawn
+        return out
+
     i_ocv = CRITERIA_METHODS.index("OCV")
-    return [
-        CriteriaMseRow(
-            scenario=scenario.name,
-            method=method,
-            mse=float(mse[i]),
-            bias2=float(bias[i] ** 2),
-            variance=float(variance[i]),
-            rel_to_ocv=float(mse[i] / mse[i_ocv]),
-            mse_err_r=float(mse_err_r[i]),
-            rel_to_ocv_err_r=float(mse_err_r[i] / mse_err_r[i_ocv]),
-        )
-        for i, method in enumerate(CRITERIA_METHODS)
-    ]
+    rows = []
+    values = np.array(run_replicates(one_rep, reps, threads, seed)).transpose(1, 0, 2)
+    for sc, out in zip(scenarios, values):
+        crit, target = out[:, :-1], out[:, -1:]
+        dev = crit - target
+        mse = np.mean(dev**2, axis=0)
+        bias = np.mean(dev, axis=0)
+        variance = mse - bias**2
+        mse_err_r = np.mean((crit - target.mean()) ** 2, axis=0)
+        rows.append([
+            CriteriaMseRow(
+                scenario=sc.name,
+                method=method,
+                mse=float(mse[i]),
+                bias2=float(bias[i] ** 2),
+                variance=float(variance[i]),
+                rel_to_ocv=float(mse[i] / mse[i_ocv]),
+                mse_err_r=float(mse_err_r[i]),
+                rel_to_ocv_err_r=float(mse_err_r[i] / mse_err_r[i_ocv]),
+            )
+            for i, method in enumerate(CRITERIA_METHODS)
+        ])
+    return rows
 
 
 # --------------------------------------------------------------------------

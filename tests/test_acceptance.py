@@ -32,7 +32,12 @@ from randomx_eval.datagen import (
     stream,
 )
 from randomx_eval.decomp import conditional_moments, estimate_decomposition
-from randomx_eval.experiments import ScenarioConfig, run_criteria_study, run_ridge_ratio_study
+from randomx_eval.experiments import (
+    ScenarioConfig,
+    run_criteria_study,
+    run_decomposition_study,
+    run_ridge_ratio_study,
+)
 from randomx_eval.smoothers import SmootherSpec, fit
 from test_criteria import rcp_plus_from_ocv
 
@@ -70,22 +75,25 @@ def six_runs(block_run):
         ("t4-unbiased", CovariateModel.copula_t4(50, 5, 0.9), MeanModel.linear_sum()),
         ("t4-biased", CovariateModel.copula_t4(50, 5, 0.9), MeanModel.abs_sum(0.75)),
     ]
-    out = {"normal-unbiased": block_run[0]}
-    for name, cov, mean in cells:
-        sc = _high_dim(cov, mean, 1, name)
-        out[name] = estimate_decomposition(sc, SmootherSpec.least_squares(), threads=THREADS)
+    scenarios = [_high_dim(cov, mean, 1, name) for name, cov, mean in cells]
+    out = {"normal-unbiased": block_run[0]}  # criterion 01 times this cell alone
+    for sc, est in run_decomposition_study(scenarios, SmootherSpec.least_squares(), threads=THREADS):
+        out[sc.name] = est
     return out
 
 
 @pytest.fixture(scope="module")
 def criteria_cells():
-    out = {}
-    for name, mean in (("unbiased", MeanModel.linear_sum()), ("biased", MeanModel.abs_sum(0.75))):
-        sc = ScenarioConfig(
+    scenarios = [
+        ScenarioConfig(
             covariates=CovariateModel.normal_block(50, 5, 0.9), mean=mean,
             noise=NoiseModel(SIGMA), n=100, test_m=10_000, reps=REPS, seed=1, name=name,
         )
-        out[name] = {row.method: row for row in run_criteria_study(sc, threads=THREADS)}
+        for name, mean in (("unbiased", MeanModel.linear_sum()), ("biased", MeanModel.abs_sum(0.75)))
+    ]
+    out = {sc.name: {} for sc in scenarios}
+    for row in run_criteria_study(scenarios, threads=THREADS):  # both cells in one loop
+        out[row.scenario][row.method] = row
     return out
 
 

@@ -364,9 +364,10 @@ class TestDecompose:
                                                    "sigma_half": np.diag([1.0, 1.0, 0.0]).tolist()},
              "mean": {"variant": "linear_sum"}},
         ])
-        code, out, err = run_cli(capsys, "decompose", "--config", config)
-        assert code == 3 and out == ""
-        assert err.startswith("error: replicate 0 of scenario 'zero-column' (master seed 2)")
+        for command in ("decompose", "criteria"):
+            code, out, err = run_cli(capsys, command, "--config", config)
+            assert code == 3 and out == ""
+            assert err.startswith("error: replicate 0 of scenario 'zero-column' (master seed 2)")
 
     @pytest.mark.parametrize("where, key, field", [
         ((), "sigmaa", "sigmaa"),

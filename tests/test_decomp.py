@@ -37,7 +37,7 @@ from randomx_eval.decomp import (
 )
 from randomx_eval.errors import LeverageOne, RankDeficient, ReplicateError
 from randomx_eval.experiments import ScenarioConfig
-from randomx_eval.smoothers import SmootherSpec, _factorize, fit, predict
+from randomx_eval.smoothers import SmootherSpec, _factorize, fit, gaussian_bandwidth, predict
 
 
 # --------------------------------------------------------------------------
@@ -492,12 +492,27 @@ class TestOcvConditional:
         assert dec.b_of_X <= 1e-18
 
     def test_smoother_variants_run(self):
+        # E[OCV | X] = (1/n) sum (sigma2 |(I - L)_i|^2 + ((I - L) f)_i^2) / (1 - L_ii)^2 for an
+        # explicit L; a shrinker has |L_i|^2 < L_ii, so sigma2/n sum 1/(1 - L_ii) overstates it
         rng = np.random.default_rng(62)
-        X = rng.standard_normal((18, 2))
-        fX = np.abs(X).sum(axis=1)
-        for spec in (SmootherSpec.ridge(1.0), SmootherSpec.kernel_ridge(0.5), SmootherSpec.knn(3)):
-            dec = ocv_conditional(X, fX, spec, 2.0)
-            assert dec.v_of_X >= 2.0 and dec.b_of_X >= 0.0
+        n, sigma2 = 40, 4.0
+        X = rng.standard_normal((n, 10))
+        fX = 3.0 * np.sin(X[:, 0])
+        for spec, L in ((SmootherSpec.ridge(30.0), _weights_ls(X, X, 30.0)[0]),
+                        (SmootherSpec.kernel_ridge(0.5),
+                         _weights_kernel(X, X, 0.5, gaussian_bandwidth(X))[0]),
+                        (SmootherSpec.knn(3), _weights_knn(X, X, 3)[0])):
+            dec = ocv_conditional(X, fX, spec, sigma2)
+            h, M = np.diag(L), np.eye(n) - L
+            v = sigma2 * np.mean(np.sum(M * M, axis=1) / (1 - h) ** 2)
+            assert dec.v_of_X == pytest.approx(v, rel=1e-10)
+            assert dec.b_of_X == pytest.approx(np.mean((M @ fX / (1 - h)) ** 2), rel=1e-10)
+            assert dec.v_of_X >= sigma2 and dec.b_of_X >= 0.0
+            T = 20_000
+            resid = (fX + np.sqrt(sigma2) * rng.standard_normal((T, n))) @ M.T
+            ocv_draws = np.mean((resid / (1 - h)) ** 2, axis=1)
+            se = ocv_draws.std(ddof=1) / np.sqrt(T)
+            assert abs(dec.v_of_X + dec.b_of_X - ocv_draws.mean()) <= 3 * se, spec.variant
 
     def test_nonfinite_mean_rejected(self):
         rng = np.random.default_rng(64)

@@ -1,10 +1,12 @@
 """Tests for the simulation studies and their targets."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from randomx_eval import experiments
 from randomx_eval.criteria import bplus_hat, gcv, ocv, rcp, rcp_hat
 from randomx_eval.datagen import (
     NOISE,
@@ -18,6 +20,7 @@ from randomx_eval.datagen import (
     stream,
 )
 from randomx_eval.decomp import estimate_decomposition
+from randomx_eval.errors import RankDeficient, ReplicateError
 from randomx_eval.experiments import (
     CRITERIA_METHODS,
     CriteriaMseRow,
@@ -28,7 +31,7 @@ from randomx_eval.experiments import (
     run_decomposition_study,
     run_ridge_ratio_study,
 )
-from randomx_eval.smoothers import SmootherSpec, fit, predict
+from randomx_eval.smoothers import SmootherSpec, _factorize, fit, predict
 
 
 def ridge_ratio_limit_mc(
@@ -177,7 +180,7 @@ def replay_criteria_study(sc, reps):
 
 class TestCriteriaStudy:
     def setup_method(self):
-        self.rows = run_criteria_study(replace(small_scenario(), reps=150))
+        self.rows = run_criteria_study([replace(small_scenario(), reps=150)])
 
     def test_row_structure(self):
         assert [r.method for r in self.rows] == list(CRITERIA_METHODS)
@@ -219,9 +222,95 @@ class TestCriteriaStudy:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_criteria_study(replace(small_scenario(), reps=1))
+            run_criteria_study([replace(small_scenario(), reps=1)])
         with pytest.raises(ValueError):
-            run_criteria_study(small_scenario(n=5, p=4))
+            run_criteria_study([small_scenario(n=5, p=4)])
+
+
+#: The six cells of the bundled ``high_dim.json``, in its order: three laws, each under two means.
+HIGH_DIM_CELLS = [(CovariateModel(variant, 50, blocks=5, rho=0.9), mean)
+                  for mean in (MeanModel.linear_sum(), MeanModel.abs_sum(0.75))
+                  for variant in ("normal_block", "copula_uniform", "copula_t4")]
+
+
+class TestCriteriaGroups:
+    def test_grouped_cells_equal_cells_run_alone(self):
+        S = np.array([[1.5, 0.4, 0.0, -0.3], [0.4, 1.0, 0.2, 0.0], [0.0, 0.2, 0.8, 0.1],
+                      [-0.3, 0.0, 0.1, 1.2]])
+        laws = [CovariateModel.copula_t4(4, 2, 0.7), CovariateModel.normal_block(4, 2, 0.7),
+                CovariateModel.scaled_product(4, "normal", S),
+                CovariateModel.copula_uniform(4, 2, 0.7), CovariateModel.normal_block(4, 2, 0.3),
+                CovariateModel.isotropic(4), CovariateModel.scaled_product(4, "uniform", S),
+                CovariateModel.scaled_product(4, "rademacher")]
+        means = (MeanModel.linear_sum(), MeanModel.abs_sum(0.75))
+        cells = [(law, mean) for law in laws for mean in means]
+        groups = [dict(seed=5, n=20, reps=4, test_m=50), dict(seed=5, n=24, reps=4, test_m=50),
+                  dict(seed=9, n=20, reps=4, test_m=50), dict(seed=5, n=20, reps=3, test_m=50),
+                  dict(seed=5, n=20, reps=4, test_m=70)]  # each differs from the first in one key
+        scenarios = [small_scenario(covariates=law, mean=mean, name=f"cell{i}", **groups[i % 5])
+                     for i, (law, mean) in enumerate(cells)]
+        alone = [row for sc in scenarios for row in run_criteria_study([sc])]
+        names = [sc.name for sc in scenarios for _ in CRITERIA_METHODS]
+        assert [row.scenario for row in alone] == names
+        for threads in (1, 2):
+            assert run_criteria_study(scenarios, threads=threads) == alone
+
+    @pytest.mark.parametrize("cells, train, test, designs", [
+        (HIGH_DIM_CELLS, 1, 1, 3),
+        ([(CovariateModel.normal_block(50, 5, 0.9), MeanModel.abs_sum(0.75)),
+          (CovariateModel.scaled_product(50, "uniform"), MeanModel.abs_sum(0.75))], 2, 2, 2),
+    ], ids=["high_dim_six_cells", "two_bases"])
+    def test_one_stream_per_purpose_and_base_one_factorization_per_law(
+            self, monkeypatch, cells, train, test, designs):
+        purposes, factorized = [], []
+
+        def counted_stream(seed, r, purpose):
+            purposes.append(purpose)
+            return stream(seed, r, purpose)
+
+        def counted_factorize(spec, X):
+            factorized.append(X)
+            return _factorize(spec, X)
+
+        monkeypatch.setattr(experiments, "stream", counted_stream)
+        monkeypatch.setattr(experiments, "_factorize", counted_factorize)
+        scenarios = [small_scenario(covariates=cov, mean=mean, n=100, test_m=200, reps=3)
+                     for cov, mean in cells]
+        assert len(run_criteria_study(scenarios)) == len(cells) * len(CRITERIA_METHODS)
+        assert sorted(purposes) == [TRAIN] * (3 * train) + [NOISE] * 3 + [TEST] * (3 * test)
+        assert len(factorized) == 3 * designs
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_cell_of_a_group_is_named(self, threads):
+        ok = small_scenario(covariates=CovariateModel.isotropic(4), n=10, reps=5, seed=77, name="ok")
+        singular = replace(ok, name="singular", covariates=CovariateModel.scaled_product(
+            4, sigma_half=np.diag([1.0, 1.0, 1.0, 0.0])))  # X has a zero column
+        with pytest.raises(ReplicateError) as err:
+            run_criteria_study([singular, ok], threads=threads)
+        e = err.value
+        assert (e.replicate, e.seed, e.scenario) == (0, 77, "singular")
+        assert "replicate 0 of scenario 'singular' (master seed 77)" in str(e)
+        assert isinstance(e.__cause__, RankDeficient)
+
+    @pytest.mark.parametrize("cells", [
+        HIGH_DIM_CELLS,
+        [(CovariateModel.isotropic(50), MeanModel.abs_sum(0.75)),
+         (CovariateModel.scaled_product(50, "uniform", 2.0 * np.eye(50)), MeanModel.abs_sum(0.75))],
+    ], ids=["high_dim_six_cells", "two_bases"])
+    def test_test_draws_hold_few_matrices(self, cells):
+        # derivation order, keeping only the steps a later law starts from, and dropping each
+        # cell's rows before the next cell's draw hold at most two 10 000-row matrices at once;
+        # keeping every shared step would hold Z, G, U and T of the high_dim laws
+        scenarios = [small_scenario(covariates=cov, mean=mean, n=100, test_m=10_000, reps=2)
+                     for cov, mean in cells]
+        run_criteria_study(scenarios)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            run_criteria_study(scenarios)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 10_000 * 50 * 8
 
 
 class TestRidgeRatioStudy:
