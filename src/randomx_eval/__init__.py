@@ -26,7 +26,7 @@ from .datagen import (
     NoiseModel,
     draw_covariates,
     draw_response,
-    quantile_t,
+    quantile_t4,
     stream,
 )
 from .decomp import (
@@ -53,7 +53,7 @@ __all__ = [
     "__version__",
     # datagen
     "CovariateModel", "MeanModel", "NoiseModel",
-    "draw_covariates", "draw_response", "quantile_t", "stream",
+    "draw_covariates", "draw_response", "quantile_t4", "stream",
     # smoothers
     "SmootherSpec", "FittedSmoother", "fit", "predict", "neighbor_sets",
     # criteria

@@ -28,7 +28,8 @@ no replicate loop and keeps the libraries' own BLAS threading.
 
 Exit codes: 0 success, 2 configuration/input error (a malformed, unknown or
 out-of-range config key or value, an out-of-range flag, a study argument the
-study rejects, a bad data file), 3 numeric failure.
+study rejects, a bad data file, an ``--out`` that cannot be written), 3 numeric
+failure (a `NumericError` or a failing replicate).
 """
 
 from __future__ import annotations
@@ -54,17 +55,7 @@ from . import __version__
 from ._pool import blas_threads
 from .criteria import criteria_report
 from .datagen import CovariateModel, MeanModel, NoiseModel
-from .errors import (
-    ConfigError,
-    DegenerateNeighbors,
-    DimensionError,
-    DomainError,
-    LeverageOne,
-    NotPositiveDefinite,
-    ParseError,
-    RankDeficient,
-    ReplicateError,
-)
+from .errors import ConfigError, NumericError, ParseError, ReplicateError
 from .experiments import (
     ScenarioConfig,
     run_criteria_study,
@@ -74,16 +65,6 @@ from .experiments import (
 from .smoothers import SmootherSpec, fit
 
 __all__ = ["main", "RunManifest", "bundled_config_path"]
-
-_NUMERIC_ERRORS = (
-    NotPositiveDefinite,
-    RankDeficient,
-    DomainError,
-    DimensionError,
-    LeverageOne,
-    DegenerateNeighbors,
-    ReplicateError,
-)
 
 
 def bundled_config_path(name: str) -> str:
@@ -306,16 +287,6 @@ def _resolve_threads(args) -> int:
 # Each subcommand returns (header, rows, digest source, seed, threads); the
 # digest source is the config file's bytes, or the effective params without one.
 
-def _study(run, *args, **kwargs):
-    """Call a study; an argument it rejects with a plain ValueError is a config error."""
-    try:
-        return run(*args, **kwargs)
-    except _NUMERIC_ERRORS:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_decompose(args):
     scenarios, smoother, raw, threads = _load_study(args)
     header = [
@@ -330,7 +301,7 @@ def cmd_decompose(args):
             est.Bplus, est.se_Bplus, est.Vplus, est.se_Vplus,
             est.err_s, est.err_r,
         ]
-        for sc, est in _study(run_decomposition_study, scenarios, smoother, threads=threads)
+        for sc, est in run_decomposition_study(scenarios, smoother, threads=threads)
     ]
     return header, rows, raw, scenarios[0].seed, threads
 
@@ -341,7 +312,7 @@ def cmd_criteria(args):
         raise ConfigError("criteria study supports least squares only", field="smoother")
     rows = [
         [row.scenario, row.method, row.mse, row.bias2, row.variance, row.rel_to_ocv]
-        for row in _study(run_criteria_study, scenarios, threads=threads)
+        for row in run_criteria_study(scenarios, threads=threads)
     ]
     header = ["scenario", "method", "mse", "bias2", "variance", "rel_to_ocv"]
     return header, rows, raw, scenarios[0].seed, threads
@@ -362,8 +333,8 @@ def cmd_ridge_ratio(args):
         raise ConfigError("lambda_points must be >= 2")
     if not 0 < lam_min < lam_max < np.inf:
         raise ConfigError("need 0 < lambda_min < lambda_max < inf")
-    curve = _study(
-        run_ridge_ratio_study, n=n, p=p,
+    curve = run_ridge_ratio_study(
+        n=n, p=p,
         lambdas=np.logspace(np.log10(lam_min), np.log10(lam_max), points),
         reps=reps, seed=seed, threads=threads,
     )
@@ -417,6 +388,8 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
             raise ParseError("need at least one data row", row=first_row)
         if data is None or data.shape[1] != width or not np.all(np.isfinite(data)):
             raise _bad_row(path, width)
+        if len(data) < 2:
+            raise ParseError("need at least two data rows, got one", row=first_row)
     except OSError as exc:
         raise ParseError(f"cannot read data file: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -532,14 +505,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str | None) -> None:
+    """Reject an ``--out`` that cannot be written, before any work is done."""
+    if out is None:
+        return
+    target = out if os.path.exists(out) else os.path.dirname(out) or "."
+    if os.path.isdir(out) or not os.access(target, os.W_OK):
+        raise ConfigError(f"--out {out!r} cannot be written")
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; this is the one place its errors become exit codes (module docstring)."""
     args = build_parser().parse_args(argv)
     started = _now()
     try:
+        _check_out(args.out)
         header, rows, source, seed, threads = args.func(args)
-    except (ConfigError, ParseError, *_NUMERIC_ERRORS) as exc:
+    except (ValueError, ReplicateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, _NUMERIC_ERRORS) else 2
+        return 3 if isinstance(exc, (NumericError, ReplicateError)) else 2
     _emit_csv(header, rows, args.out)
     if args.out is not None:
         _write_manifest(args.out, args.command, started, source, seed, threads)

@@ -13,8 +13,9 @@ quantities only:
 ``gcv``       RSS / (n (1 - df/n)^2), df = p or tr(S).
 ``ocv``       leave-one-out squared error via the deleted-residual shortcut
               r_i / (1 - h_ii); exact for least squares and ridge.
-``bplus_hat`` an unbiased-in-spirit estimate of the excess bias term built
-              from the same deleted residuals.
+``bplus_hat`` an estimate of the excess bias term built from the same
+              deleted residuals; mean zero for an unbiased model only where
+              |L_i|^2 = h_ii (least squares, kNN), below zero for ridge.
 ``rcp_plus``  rcp + bplus_hat (a `CriteriaReport` field), covering mean
               functions the model misses.
 
@@ -150,9 +151,12 @@ def ocv(residuals, hat_diag) -> float:
 def bplus_hat(residuals, hat_diag, sigma2: float) -> float:
     """Estimate of the excess bias from deleted residuals.
 
-    ``mean((r_i^2 - (1 - h_ii) sigma2) (1/(1 - h_ii)^2 - 1))``; zero in
-    expectation when the model is unbiased, positive when the mean function
-    is missed.  May be negative on a given sample.
+    ``mean((r_i^2 - (1 - h_ii) sigma2) (1/(1 - h_ii)^2 - 1))``.  Given X its mean is
+    ``mean((b_i^2 - sigma2 (h_ii - |L_i|^2)) (1/(1 - h_ii)^2 - 1))``, with b = f - E[fhat | X]
+    and L_i row i of the smoother matrix.  So an unbiased model (b = 0) gives zero only where
+    |L_i|^2 = h_ii, as for least squares and kNN; ridge has |L_i|^2 < h_ii, so its mean is the
+    negative offset ``-sigma2 mean((h_ii - |L_i|^2) (1/(1 - h_ii)^2 - 1))``.  A missed mean
+    function adds the positive b_i^2 part.  May be negative on a given sample.
     """
     r, h = _check_resid(residuals, hat_diag)
     _check_sigma2(sigma2)

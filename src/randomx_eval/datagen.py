@@ -54,7 +54,7 @@ __all__ = [
     "X0Moments",
     "x0_moments",
     "draw_response",
-    "quantile_t",
+    "quantile_t4",
 ]
 
 # Purpose tags for stream keys.
@@ -213,7 +213,7 @@ def _derivation(model: CovariateModel, n: int) -> list:
         from scipy.special import ndtr  # on first use: importing it costs about 65 ms
         steps.append((key + ("ndtr",), ndtr))
     if model.variant == "copula_t4":
-        steps.append((key + ("ndtr", "t4"), lambda U: quantile_t(U, 4.0)))
+        steps.append((key + ("ndtr", "t4"), quantile_t4))
     return steps
 
 
@@ -380,7 +380,7 @@ def _t4_pair_moments(rho: float, nodes: int = 64, top: float = 12.0) -> tuple[fl
     z, wz = top / 2.0 * (x + 1.0), top / 2.0 * w
 
     def a(v: np.ndarray) -> np.ndarray:
-        return -_quantile_t4(ndtr(-v.ravel())).reshape(v.shape)
+        return -quantile_t4(ndtr(-v))
 
     r, s = np.array([[rho], [-rho]]), np.sqrt(1.0 - rho * rho)  # both quadrant pairs at once
     lo = np.maximum(-r * z / s, -top)
@@ -429,66 +429,49 @@ def x0_moments(covariates: CovariateModel, mean: MeanModel) -> X0Moments | None:
 # quantiles
 # --------------------------------------------------------------------------
 
-#: Values per block of `_quantile_t4`: its temporaries stay a few cache-sized
+#: Values per block of `quantile_t4`: its temporaries stay a few cache-sized
 #: blocks, so the quantile needs no memory beyond its output.
 _T4_BLOCK = 8192
 
 
-def _quantile_t4(u: np.ndarray) -> np.ndarray:
-    """Closed-form t(4) quantile of a 1-D array (Shaw 2006, J. Comput. Finance 9(4)).
+def quantile_t4(u):
+    """Quantile of Student's t with 4 degrees of freedom (the ``copula_t4`` marginal).
 
-    With d = 2u - 1, c = 2 sqrt(u (1 - u)) and a = atan2(|d|, c) / 3,
-    q = sign(d) 4 sin(a) sqrt(cos(a) / c): Shaw's
-    2 sqrt(cos(arccos(c) / 3) / c - 1) rewritten without its cancellation
-    at u near 1/2.
-    """
-    q = np.empty_like(u)
-    for start in range(0, u.size, _T4_BLOCK):
-        v = u[start:start + _T4_BLOCK]
-        d = 2.0 * v - 1.0
-        c = 2.0 * np.sqrt(v * (1.0 - v))
-        a = np.arctan2(np.abs(d), c) / 3.0
-        np.copysign(4.0 * np.sin(a) * np.sqrt(np.cos(a) / c), d, out=q[start:start + _T4_BLOCK])
-    return q
-
-
-def quantile_t(u, df: float):
-    """Quantile of Student's t with ``df`` degrees of freedom.
-
-    For ``df == 4`` (the ``copula_t4`` marginal) the quantile is Shaw's
-    closed form: against 40-digit arithmetic its relative error measured at
-    most 4.4e-16 for u spread over (0, 1), within 1e-12 of 1/2 and down to
-    1e-300.  Other ``df`` use `scipy.special.stdtrit`, which at df = 4 was
-    off by up to 2.2e-12 relative and returned 0.0 at u = 0.5 + 1e-9, where
-    the quantile is 2.7e-9.
+    Shaw's closed form (Shaw 2006, J. Comput. Finance 9(4)): with d = 2u - 1,
+    c = 2 sqrt(u (1 - u)) and a = atan2(|d|, c) / 3, q = sign(d) 4 sin(a)
+    sqrt(cos(a) / c), which is Shaw's 2 sqrt(cos(arccos(c) / 3) / c - 1)
+    rewritten without its cancellation at u near 1/2.  Against 40-digit
+    arithmetic its relative error measured at most 4.4e-16 for u spread over
+    (0, 1), within 1e-12 of 1/2 and down to 1e-300.  (`scipy.special.stdtrit`
+    at df = 4 was off by up to 2.2e-12 relative and returned 0.0 at
+    u = 0.5 + 1e-9, where the quantile is 2.7e-9.)
 
     Parameters
     ----------
     u : float or array
         Probability level(s), strictly inside (0, 1).
-    df : float
-        Degrees of freedom, > 0.
 
     Returns
     -------
     float or array
-        Value q with t-CDF(q; df) = u.
+        Value q with t-CDF(q; 4) = u.
 
     Raises
     ------
     DomainError
-        If any u lies outside (0, 1) or df <= 0.
+        If any u lies outside (0, 1).
     """
-    if not (np.isfinite(df) and df > 0):
-        raise DomainError("df must be finite and > 0")
     arr = np.asarray(u, dtype=float)
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("u must lie strictly inside (0, 1)")
-    if df == 4:
-        q = _quantile_t4(arr.reshape(-1)).reshape(arr.shape)
-    else:
-        from scipy.special import stdtrit
-        q = stdtrit(df, arr)
-    if np.isscalar(u) or arr.ndim == 0:
-        return float(q)
-    return q
+    flat = arr.reshape(-1)
+    q = np.empty_like(flat)
+    for start in range(0, flat.size, _T4_BLOCK):
+        v = flat[start:start + _T4_BLOCK]
+        d = 2.0 * v - 1.0
+        c = 2.0 * np.sqrt(v * (1.0 - v))
+        a = np.arctan2(np.abs(d), c) / 3.0
+        np.copysign(4.0 * np.sin(a) * np.sqrt(np.cos(a) / c), d, out=q[start:start + _T4_BLOCK])
+    if arr.ndim == 0:
+        return float(q[0])
+    return q.reshape(arr.shape)

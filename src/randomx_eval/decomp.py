@@ -35,9 +35,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ._pool import run_replicates
-from .criteria import LEVERAGE_TOL, _check_sigma2
+from .criteria import _check_resid, _check_sigma2
 from .datagen import TEST, TRAIN, X0Moments, draw_covariate_laws, stream, x0_moments
-from .errors import LeverageOne, ReplicateError
+from .errors import ReplicateError
 from .smoothers import SmootherSpec, _as_xy, _factorize, _Operator
 
 # Unused here, but perfbench/tracer.py wraps these names as bound in this module.
@@ -244,12 +244,9 @@ def ocv_conditional(X, fX, smoother: SmootherSpec, sigma2: float) -> OcvConditio
     X, fX = _as_xy(X, fX)
     _check_sigma2(sigma2)
     op = _factorize(smoother, X)
-    smoothed = op.apply(op.solve(fX))[0]
-    h = op.hat_diag()
-    if np.any(h >= 1.0 - LEVERAGE_TOL):
-        raise LeverageOne("a leverage is numerically 1")
+    r, h = _check_resid(fX - op.apply(op.solve(fX))[0], op.hat_diag())
     n = X.shape[0]
     L = op.apply(op.solve(np.eye(n)))[0]  # L(X), one row per training row
     v = sigma2 / n * float(np.sum((1.0 - 2.0 * h + np.sum(L * L, axis=1)) / (1.0 - h) ** 2))
-    b = float(np.mean(((fX - smoothed) / (1.0 - h)) ** 2))
+    b = float(np.mean((r / (1.0 - h)) ** 2))
     return OcvConditionalDecomp(v_of_X=v, b_of_X=b)

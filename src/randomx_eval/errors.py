@@ -1,27 +1,31 @@
 """Exception types shared across the package."""
 
 
-class NotPositiveDefinite(ValueError):
+class NumericError(ValueError):
+    """A numerical failure: the CLI exits 3 on it, and 2 on any other ValueError."""
+
+
+class NotPositiveDefinite(NumericError):
     """Matrix passed to an SPD routine is not (numerically) positive definite."""
 
 
-class RankDeficient(ValueError):
+class RankDeficient(NumericError):
     """Design matrix does not have full column rank."""
 
 
-class DomainError(ValueError):
+class DomainError(NumericError):
     """Scalar argument outside its mathematical domain."""
 
 
-class DimensionError(ValueError):
+class DimensionError(NumericError):
     """Sample size / dimension combination outside a formula's domain."""
 
 
-class LeverageOne(ValueError):
+class LeverageOne(NumericError):
     """A leverage value is numerically 1, so a deleted residual is undefined."""
 
 
-class DegenerateNeighbors(ValueError):
+class DegenerateNeighbors(NumericError):
     """Requested more nearest neighbors than available training points."""
 
 

@@ -59,29 +59,26 @@ __all__ = [
     "kernel_matrix",
 ]
 
-_KERNELS = ("gaussian", "linear")
-
 
 @dataclass(frozen=True)
 class SmootherSpec:
     """Which smoother to fit and with what tuning.
 
-    ``lam`` is the ridge / kernel-ridge penalty, ``kernel`` and ``bandwidth``
-    apply to kernel ridge (bandwidth ``None`` means the median pairwise
-    distance of the training covariates), ``k`` is the neighbor count.
+    ``lam`` is the ridge / kernel-ridge penalty, ``bandwidth`` is the Gaussian
+    kernel's (``None`` means the median pairwise distance of the training
+    covariates), ``k`` is the neighbor count.
     """
 
     #: Each variant's fields, with their JSON kinds; the rest keep their defaults.
     FIELDS = {
         "least_squares": {},
         "ridge": {"lam": float},
-        "kernel_ridge": {"lam": float, "kernel": str, "bandwidth": float},
+        "kernel_ridge": {"lam": float, "bandwidth": float},
         "knn": {"k": int},
     }
 
     variant: str
     lam: float = 0.0
-    kernel: str = "gaussian"
     bandwidth: float | None = None
     k: int = 1
 
@@ -91,8 +88,6 @@ class SmootherSpec:
             raise ValueError("lam must be finite and >= 0")
         if self.variant == "kernel_ridge" and self.lam <= 0.0:
             raise ValueError("kernel ridge requires lam > 0")
-        if self.kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
             raise ValueError("bandwidth must be finite and > 0")
         if self.k < 1:
@@ -107,10 +102,8 @@ class SmootherSpec:
         return cls("ridge", lam=lam)
 
     @classmethod
-    def kernel_ridge(
-        cls, lam: float, kernel: str = "gaussian", bandwidth: float | None = None
-    ) -> "SmootherSpec":
-        return cls("kernel_ridge", lam=lam, kernel=kernel, bandwidth=bandwidth)
+    def kernel_ridge(cls, lam: float, bandwidth: float | None = None) -> "SmootherSpec":
+        return cls("kernel_ridge", lam=lam, bandwidth=bandwidth)
 
     @classmethod
     def knn(cls, k: int) -> "SmootherSpec":
@@ -198,7 +191,7 @@ class _Operator:
             return c[nb].mean(axis=1), None if sigma2 is None else sigma2 / spec.k
         kernel = spec.variant == "kernel_ridge"
         if kernel:
-            B = self.K if X0 is None else kernel_matrix(X0, X, spec.kernel, self.bandwidth)
+            B = self.K if X0 is None else kernel_matrix(X0, X, self.bandwidth)
         else:
             B = X if X0 is None else X0
         out = B @ c
@@ -254,11 +247,9 @@ def _factorize(spec: SmootherSpec, X: np.ndarray) -> _Operator:
         return _Operator(spec, X, nbrs=neighbor_sets(X, X, spec.k))
     if spec.variant == "kernel_ridge":
         # one n x n distance matrix gives both the median bandwidth and K
-        d2 = _sq_distances(X, X) if spec.kernel == "gaussian" else None
-        bandwidth = spec.bandwidth
-        if d2 is not None and bandwidth is None:
-            bandwidth = gaussian_bandwidth(X, d2)
-        K = kernel_matrix(X, X, spec.kernel, bandwidth, d2)
+        d2 = _sq_distances(X, X)
+        bandwidth = gaussian_bandwidth(X, d2) if spec.bandwidth is None else spec.bandwidth
+        K = kernel_matrix(X, X, bandwidth, d2)
         return _Operator(spec, X, _cholesky_spd(K + spec.lam * np.eye(n)), K, bandwidth)
     G = X.T @ X
     if spec.lam:
@@ -411,18 +402,13 @@ def gaussian_bandwidth(X: np.ndarray, d2: np.ndarray | None = None) -> float:
     return float(np.median(d)) if d.size else 1.0
 
 
-def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: str, bandwidth: float | None,
+def kernel_matrix(A: np.ndarray, B: np.ndarray, bandwidth: float,
                   d2: np.ndarray | None = None) -> np.ndarray:
-    """Kernel Gram block k(a_i, b_j); ``d2`` is ``_sq_distances(A, B)`` if already computed."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if kernel == "linear":
-        return A @ B.T
-    if kernel != "gaussian":
-        raise ValueError(f"unknown kernel {kernel!r}")
-    if bandwidth is None or bandwidth <= 0:
-        raise ValueError("gaussian kernel needs a positive bandwidth")
+    """Gaussian kernel block exp(-|a_i - b_j|^2 / (2 bandwidth^2)); ``d2`` is
+    ``_sq_distances(A, B)`` if already computed."""
+    if bandwidth is None or not 0 < bandwidth < np.inf:
+        raise ValueError("gaussian kernel needs a finite bandwidth > 0")
     if d2 is None:
-        d2 = _sq_distances(A, B)
+        d2 = _sq_distances(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
     return np.exp(-d2 / (2.0 * bandwidth**2))
 

@@ -144,6 +144,12 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", str(tmp_path / "absent.csv"))
         assert code == 2 and "cannot read" in err
 
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        path, _, _ = write_dataset(tmp_path)
+        for out in (tmp_path / "missing_dir" / "x.csv", tmp_path):
+            code, stdout, err = run_cli(capsys, "eval", path, "--out", str(out))
+            assert code == 2 and stdout == "" and err.startswith("error: --out")
+
     def test_collinear_design_is_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "collinear.csv"
         path.write_text("x1,x2,y\n1,2,1\n2,4,2\n3,6,2\n4,8,5\n")
@@ -195,7 +201,7 @@ class TestReadDataset:
         values=st.integers(2, 4).flatmap(lambda width: st.lists(
             st.lists(st.floats(allow_nan=False, allow_infinity=False),
                      min_size=width, max_size=width),
-            min_size=1, max_size=5,
+            min_size=2, max_size=5,
         )),
         fmt=st.sampled_from(_FORMATS),
         quoted=st.booleans(),
@@ -227,6 +233,7 @@ class TestReadDataset:
         ("x,y\r\n1,2\r\n3,4\r\n5,oops\r\n", 4, "'oops' in column 2"),  # non-numeric
         ("x,y\n", 2, "at least one data row"),  # empty body
         ("x,y\n\n\n", 2, "at least one data row"),  # only blank lines
+        ("x1,y\n1,2\n", 2, "at least two data rows"),  # one data row
         ("x,y\n1,2\n1_000,4\n", 3, "'1_000' in column 1"),  # float() would take it
         ('x,y\n"1\n",2\n3,inf\n', 4, "non-finite value in column 2"),  # after a two-line record
         ("x\n1\n", 1, "covariate column"),  # header too narrow
@@ -396,6 +403,22 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", "--config", config)
         assert code == 2 and "'smoother'" in err and "bandwidth" in err
 
+    def test_kernel_field_is_config_error(self, tmp_path, capsys):
+        # kernel ridge is Gaussian; the config has no field choosing the kernel
+        smoother = {"variant": "kernel_ridge", "lam": 1.0, "kernel": "gaussian"}
+        code, _, err = run_cli(capsys, "decompose", "--config", write_config(tmp_path, smoother=smoother))
+        assert code == 2 and err.startswith("error: config field 'smoother.kernel': unknown key")
+
+    def test_unwritable_out_fails_before_the_study(self, tmp_path, capsys, monkeypatch):
+        def study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr("randomx_eval.cli.run_decomposition_study", study)
+        config = write_config(tmp_path)
+        for out in (tmp_path / "missing_dir" / "x.csv", tmp_path):
+            code, stdout, err = run_cli(capsys, "decompose", "--config", config, "--out", str(out))
+            assert code == 2 and stdout == "" and err.startswith("error: --out")
+
     def test_knn_k_above_n_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, smoother={"variant": "knn", "k": 50})
         code, _, err = run_cli(capsys, "decompose", "--config", config)
@@ -509,8 +532,7 @@ WHERE = {"covariates": "scenarios[0].covariates", "mean": "scenarios[0].mean",
 JSON_KINDS = {int: "integer", float: "number", str: "string", list: "array"}
 # a value off its default for every model field, as JSON
 OFF_DEFAULT = {"blocks": 3, "rho": 0.5, "base": "uniform", "sigma_half": np.eye(3).tolist(),
-               "C": 2.0, "beta": [1.0, 2.0, 3.0], "lam": 1.0, "kernel": "linear",
-               "bandwidth": 1.0, "k": 2}
+               "C": 2.0, "beta": [1.0, 2.0, 3.0], "lam": 1.0, "bandwidth": 1.0, "k": 2}
 UNREAD = [
     (model, variant, key)
     for model, cls in MODELS.items()
@@ -579,7 +601,7 @@ class TestModelFields:
     @pytest.mark.parametrize("model, spec", [
         ("smoother", {"variant": "least_squares", "lam": 50.0}),
         ("covariates", {"variant": "isotropic_normal", "rho": 0.9, "blocks": 2, "base": "rademacher"}),
-        ("smoother", {"variant": "knn", "k": 3, "lam": 1.0, "kernel": "linear"}),
+        ("smoother", {"variant": "knn", "k": 3, "lam": 1.0, "bandwidth": 1.0}),
     ])
     def test_configs_with_unread_fields_exit_2(self, tmp_path, capsys, model, spec):
         code, _, err = run_cli(capsys, "decompose", "--config", _config_with(tmp_path, model, spec))
@@ -588,11 +610,24 @@ class TestModelFields:
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # only copula draws, their x0 moments and t quantiles at df != 4 need it
+    # only copula draws and their x0 moments need it
     src = str(Path(randomx_eval.__file__).resolve().parents[1])
     code = "import sys, randomx_eval.cli; sys.exit('scipy.special' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_tracer_binds_every_name_it_patches(tmp_path):
+    # the benchmark's tracer wraps each layer by the name a module binds, all at start-up,
+    # so one traced run fails if any of those names has gone
+    root = Path(__file__).resolve().parents[1]
+    data, _, _ = write_dataset(tmp_path)
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(randomx_eval.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"), str(spans),
+                           "eval", data, "--sigma2", "1"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(spans.read_text())["spans"]
 
 
 class TestBundledConfigs:

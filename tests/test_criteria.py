@@ -213,6 +213,31 @@ class TestBplusAndRcpPlus:
         r = np.array([1.0, -2.0, 0.5])
         assert bplus_hat(r, np.zeros(3), 5.0) == 0.0
 
+    def test_conditional_mean_from_explicit_smoother(self):
+        # r = (I - L) y gives E[r_i^2 | X] = b_i^2 + sigma2 (1 - 2 h_i + |L_i|^2), b = (I - L) f,
+        # so E[bplus_hat | X] = mean((b_i^2 - sigma2 (h_i - |L_i|^2)) (1/(1 - h_i)^2 - 1))
+        rng = np.random.default_rng(31)
+        n, p, sigma2, lam, draws = 30, 5, 2.0, 10.0, 4000
+        X = rng.standard_normal((n, p))
+
+        def exact_mean(L, f):
+            h, b = np.diag(L), f - L @ f
+            return float(np.mean((b**2 - sigma2 * (h - np.sum(L * L, axis=1)))
+                                 * (1.0 / (1.0 - h) ** 2 - 1.0)))
+
+        L_ls = X @ np.linalg.solve(X.T @ X, X.T)
+        assert exact_mean(L_ls, X @ rng.standard_normal(p)) == pytest.approx(0.0, abs=1e-12)
+
+        L_ridge = X @ np.linalg.solve(X.T @ X + lam * np.eye(p), X.T)
+        offset = exact_mean(L_ridge, np.zeros(n))  # f = 0: ridge is unbiased
+        values = []
+        for _ in range(draws):
+            m = fit(SmootherSpec.ridge(lam), X, np.sqrt(sigma2) * rng.standard_normal(n))
+            values.append(bplus_hat(m.residuals, m.hat_diag, sigma2))
+        se = np.std(values, ddof=1) / np.sqrt(draws)
+        assert offset < -4.0 * se  # the draws tell it from zero
+        assert abs(np.mean(values) - offset) <= 4.0 * se
+
     def test_rcp_plus_identity_random_fixtures(self):
         rng = np.random.default_rng(35)
         for _ in range(50):

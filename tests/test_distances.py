@@ -80,7 +80,7 @@ def test_kernel_matrix_matches_difference_form(sets, factor):
     want = np.exp(-diff_sq(X0, X) / (2.0 * h**2))
     # below the smallest normal double, kernel values are subnormal and carry fewer digits
     tiny = np.finfo(float).tiny
-    np.testing.assert_allclose(kernel_matrix(X0, X, "gaussian", h), want, rtol=RTOL, atol=tiny)
+    np.testing.assert_allclose(kernel_matrix(X0, X, h), want, rtol=RTOL, atol=tiny)
 
 
 @settings(max_examples=200, deadline=None)

@@ -74,16 +74,21 @@ class TestRidge:
 
 
 class TestKernelRidge:
-    def test_linear_kernel_matches_ridge(self):
+    def test_dual_path_matches_explicit_formula(self):
+        # fitted and predict against k(X0, X) (K + lam I)^-1 Y, with k written out here
         rng = np.random.default_rng(13)
         X = rng.standard_normal((20, 3))
         Y = rng.standard_normal(20)
-        lam = 2.5
-        prim = fit(SmootherSpec.ridge(lam), X, Y)
-        dual = fit(SmootherSpec.kernel_ridge(lam, kernel="linear"), X, Y)
         X0 = rng.standard_normal((7, 3))
-        np.testing.assert_allclose(predict(dual, X0), predict(prim, X0), rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(dual.fitted, prim.fitted, rtol=1e-6, atol=1e-8)
+        lam, h = 2.5, 1.3
+
+        def k(A, B):
+            return np.exp(-((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2) / (2.0 * h * h))
+
+        weights = np.linalg.solve(k(X, X) + lam * np.eye(20), Y)
+        m = fit(SmootherSpec.kernel_ridge(lam, bandwidth=h), X, Y)
+        np.testing.assert_allclose(m.fitted, k(X, X) @ weights, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(predict(m, X0), k(X0, X) @ weights, rtol=1e-10, atol=1e-12)
 
     def test_gaussian_interpolates_at_tiny_penalty(self):
         rng = np.random.default_rng(14)
@@ -108,8 +113,13 @@ class TestKernelRidge:
             SmootherSpec.kernel_ridge(0.0)
 
     def test_kernel_matrix_values(self):
-        K = kernel_matrix(np.array([[0.0]]), np.array([[2.0]]), "gaussian", 2.0)
+        K = kernel_matrix(np.array([[0.0]]), np.array([[2.0]]), 2.0)
         assert K[0, 0] == pytest.approx(np.exp(-4.0 / 8.0))
+
+    @pytest.mark.parametrize("bandwidth", [None, 0.0, -1.0, float("nan"), float("inf")])
+    def test_kernel_matrix_rejects_bad_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="finite bandwidth > 0"):
+            kernel_matrix(np.eye(2), np.eye(2), bandwidth)
 
 
 class TestNeighborSets:
