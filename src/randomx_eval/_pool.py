@@ -113,16 +113,19 @@ def _single_threaded_blas() -> Iterator[None]:
 def run_replicates(
     fn: Callable[[int], T], reps: int, threads: int, master_seed: int
 ) -> list[T]:
-    """Evaluate ``fn(0) .. fn(reps-1)``, returning results in index order.
+    """Evaluate ``fn(0) .. fn(reps-1)`` on ``threads`` workers, returning results in index order.
 
+    ``reps`` or ``threads`` below 1 is a ValueError before any replicate runs.
     A failing replicate aborts the run with a `ReplicateError` that records
     the replicate index and master seed needed to reproduce it (one that
-    ``fn`` raises itself passes through as it is).  Results are
-    read in index order, so at any ``threads`` the error names the lowest
-    failing replicate, and replicates not yet started are cancelled.
+    ``fn`` raises itself passes through as it is).  Results are read in
+    index order, so at any ``threads`` the error names the lowest failing
+    replicate, and replicates not yet started are cancelled.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
 
     def checked(r: int) -> T:
         try:

@@ -28,8 +28,9 @@ no replicate loop and keeps the libraries' own BLAS threading.
 
 Exit codes: 0 success, 2 configuration/input error (a malformed, unknown or
 out-of-range config key or value, an out-of-range flag, a study argument the
-study rejects, a bad data file, an ``--out`` that cannot be written), 3 numeric
-failure (a `NumericError` or a failing replicate).
+study rejects, a bad or malformed CSV data file, sizes a formula rejects with a
+`DimensionError` in any subcommand, an ``--out`` that cannot be written), 3
+numeric failure (a `NumericError` or a failing replicate).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import io
 import json
 import os
 import platform
-import re
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -232,9 +232,8 @@ def _model(cls, obj: dict, where: str, *args):
         raise ConfigError(str(exc), field=where) from exc
 
 
-def _load_study(args) -> tuple[list[ScenarioConfig], SmootherSpec, bytes, int]:
-    """Scenarios, smoother, config bytes and threads of a ``decompose``/``criteria`` run."""
-    threads = _resolve_threads(args)
+def _load_study(args) -> tuple[list[ScenarioConfig], SmootherSpec, bytes]:
+    """Scenarios, smoother and config bytes of a ``decompose``/``criteria`` run."""
     doc, raw = _load_json(args.config)
     _check_keys(doc, _STUDY_KEYS)
     n = _get(doc, "n", int)
@@ -271,13 +270,7 @@ def _load_study(args) -> tuple[list[ScenarioConfig], SmootherSpec, bytes, int]:
                 else _model(SmootherSpec, obj, "smoother"))
     if smoother.k > n:
         raise ConfigError(f"k={smoother.k} exceeds n={n}", field="smoother")
-    return scenarios, smoother, raw, threads
-
-
-def _resolve_threads(args) -> int:
-    if args.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    return args.threads
+    return scenarios, smoother, raw
 
 
 # --------------------------------------------------------------------------
@@ -288,7 +281,7 @@ def _resolve_threads(args) -> int:
 # digest source is the config file's bytes, or the effective params without one.
 
 def cmd_decompose(args):
-    scenarios, smoother, raw, threads = _load_study(args)
+    scenarios, smoother, raw = _load_study(args)
     header = [
         "scenario", "covariates", "mean", "n", "p", "sigma",
         "B", "se_B", "V", "se_V", "Bplus", "se_Bplus", "Vplus", "se_Vplus",
@@ -301,25 +294,24 @@ def cmd_decompose(args):
             est.Bplus, est.se_Bplus, est.Vplus, est.se_Vplus,
             est.err_s, est.err_r,
         ]
-        for sc, est in run_decomposition_study(scenarios, smoother, threads=threads)
+        for sc, est in run_decomposition_study(scenarios, smoother, threads=args.threads)
     ]
-    return header, rows, raw, scenarios[0].seed, threads
+    return header, rows, raw, scenarios[0].seed, args.threads
 
 
 def cmd_criteria(args):
-    scenarios, smoother, raw, threads = _load_study(args)
+    scenarios, smoother, raw = _load_study(args)
     if smoother.variant != "least_squares":
         raise ConfigError("criteria study supports least squares only", field="smoother")
     rows = [
         [row.scenario, row.method, row.mse, row.bias2, row.variance, row.rel_to_ocv]
-        for row in run_criteria_study(scenarios, threads=threads)
+        for row in run_criteria_study(scenarios, threads=args.threads)
     ]
     header = ["scenario", "method", "mse", "bias2", "variance", "rel_to_ocv"]
-    return header, rows, raw, scenarios[0].seed, threads
+    return header, rows, raw, scenarios[0].seed, args.threads
 
 
 def cmd_ridge_ratio(args):
-    threads = _resolve_threads(args)
     doc, raw = _load_json(args.config) if args.config else ({}, None)
     _check_keys(doc, _RIDGE_KEYS)
     n = _pick(args.n, doc, "n", int, 300)
@@ -336,7 +328,7 @@ def cmd_ridge_ratio(args):
     curve = run_ridge_ratio_study(
         n=n, p=p,
         lambdas=np.logspace(np.log10(lam_min), np.log10(lam_max), points),
-        reps=reps, seed=seed, threads=threads,
+        reps=reps, seed=seed, threads=args.threads,
     )
     rows = [
         [curve.lambdas[i], curve.ratio[i], curve.ci_low[i], curve.ci_high[i], curve.theoretical_limit]
@@ -345,23 +337,18 @@ def cmd_ridge_ratio(args):
     params = {"command": "ridge-ratio", "n": n, "p": p, "reps": reps, "seed": seed,
               "lambda_min": lam_min, "lambda_max": lam_max, "lambda_points": points}
     header = ["lambda", "ratio", "ci_low", "ci_high", "theory_limit"]
-    return header, rows, params if raw is None else raw, seed, threads
+    return header, rows, params if raw is None else raw, seed, args.threads
 
 
 #: How `np.loadtxt` reads the rows of an ``eval`` CSV: comma-separated, fields
 #: optionally in double quotes, no comment lines; blank lines are skipped.
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
 
-# One record as `np.loadtxt` splits it: a field that opens with a double quote
-# runs to its closing quote ("" is a literal quote), line breaks included.
-_FIELD = r'(?:"(?:[^"]|"")*"?[^,\n]*|[^,\n]*)'
-_RECORD = re.compile(rf"{_FIELD}(?:,{_FIELD})*\n?")
 
-
-def _loadtxt(text, dtype=float) -> np.ndarray:
+def _loadtxt(text) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        return np.loadtxt(text, dtype=dtype, **_LOADTXT)
+        return np.loadtxt(text, **_LOADTXT)
 
 
 def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -369,8 +356,8 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
 
     The header row is read with `csv` and the data rows with one call of
     numpy's C reader.  Only when that call fails, or its result has the wrong
-    width or a non-finite value, is the file read again, record by record, to
-    name the first offending row.
+    width or a non-finite value, is the file read again, record by record as
+    `csv` splits them, to name the row where the first bad record starts.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -394,57 +381,43 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError(f"cannot read data file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"data file is not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:  # the header's: `_bad_row` names a data record's own row
+        raise ParseError(f"malformed CSV ({exc})", row=1) from exc
     return data[:, :-1], data[:, -1]
 
 
 def _bad_row(path: str, width: int) -> ParseError:
-    """The error naming the first data record `np.loadtxt` rejects, or that has
-    other than ``width`` values, or a non-finite one."""
-    with open(path, encoding="utf-8") as fh:
+    """The error naming the first data record, as `csv` splits them, with other than
+    ``width`` cells or, left to right, a cell `np.loadtxt` rejects or reads as non-finite."""
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        row, body = reader.line_num + 1, fh.read()
-    pos = 0
-    while pos < len(body):
-        record = _RECORD.match(body, pos).group()
-        pos += len(record)
-        problem = _record_problem(record, width)
-        if problem is not None:
-            return ParseError(problem, row=row)
-        row += record.count("\n")
+        row = reader.line_num + 1
+        try:
+            for cells in reader:
+                if cells and len(cells) != width:
+                    return ParseError(f"expected {width} columns, got {len(cells)}", row=row)
+                for j, cell in enumerate(cells, start=1):
+                    try:
+                        value = _loadtxt(io.StringIO('"%s"' % cell.replace('"', '""')))
+                    except ValueError:
+                        return ParseError(f"non-numeric value {cell!r} in column {j}", row=row)
+                    if not np.isfinite(value).all():
+                        return ParseError(f"non-finite value in column {j}", row=row)
+                row = reader.line_num + 1
+        except csv.Error as exc:
+            return ParseError(f"malformed CSV ({exc})", row=row)
     return ParseError("malformed data")
 
 
-def _record_problem(record: str, width: int) -> str | None:
-    """What is wrong with one record, judged by `np.loadtxt` itself; None if nothing."""
-    try:
-        values = _loadtxt(io.StringIO(record))
-    except ValueError:
-        cells = [str(cell) for cell in _loadtxt(io.StringIO(record), str)[0]]
-        if len(cells) != width:
-            return f"expected {width} columns, got {len(cells)}"
-        for j, cell in enumerate(cells, start=1):
-            try:
-                _loadtxt(io.StringIO('"%s"' % cell.replace('"', '""')))
-            except ValueError:
-                return f"non-numeric value {cell!r} in column {j}"
-        return "malformed record"
-    if values.size == 0:  # a blank line
-        return None
-    if values.shape[1] != width:
-        return f"expected {width} columns, got {values.shape[1]}"
-    bad = np.flatnonzero(~np.isfinite(values[0]))
-    return f"non-finite value in column {bad[0] + 1}" if bad.size else None
-
-
 def cmd_eval(args):
-    X, Y = _read_dataset(args.data)
     if args.sigma2 is not None and not 0 <= args.sigma2 < np.inf:
         raise ConfigError("--sigma2 must be finite and >= 0")
     if args.smoother == "ridge" and not 0 < (args.lam or 0) < np.inf:
         raise ConfigError("--smoother ridge requires a finite --lam > 0")
     if args.smoother == "ls" and args.lam is not None:
         raise ConfigError("--lam applies to --smoother ridge only")
+    X, Y = _read_dataset(args.data)
     spec = SmootherSpec.least_squares() if args.smoother == "ls" else SmootherSpec.ridge(args.lam)
     report = criteria_report(fit(spec, X, Y), sigma2=args.sigma2)
     pairs = [("rss", report.rss), ("sigma2_hat", report.sigma2_hat)]

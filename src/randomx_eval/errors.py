@@ -2,7 +2,7 @@
 
 
 class NumericError(ValueError):
-    """A numerical failure: the CLI exits 3 on it, and 2 on any other ValueError."""
+    """A numerical failure on valid input: the CLI exits 3 on it, 2 on any other ValueError."""
 
 
 class NotPositiveDefinite(NumericError):
@@ -17,8 +17,8 @@ class DomainError(NumericError):
     """Scalar argument outside its mathematical domain."""
 
 
-class DimensionError(NumericError):
-    """Sample size / dimension combination outside a formula's domain."""
+class DimensionError(ValueError):
+    """Sample size / dimension combination outside a formula's domain: an input error."""
 
 
 class LeverageOne(NumericError):

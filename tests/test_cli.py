@@ -128,6 +128,39 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", path, *flags)
         assert code == 2 and err.startswith("error:") and flags[-2] in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--sigma2", "-1"), ("--lam", "100"), ("--smoother", "ridge", "--lam", "inf"),
+    ])
+    def test_flags_are_checked_before_the_data_is_read(self, tmp_path, capsys, monkeypatch, flags):
+        def read_dataset(path):
+            raise AssertionError(f"{path} was read before the flags were checked")
+
+        monkeypatch.setattr("randomx_eval.cli._read_dataset", read_dataset)
+        path, _, _ = write_dataset(tmp_path)
+        code, _, err = run_cli(capsys, "eval", path, *flags)
+        assert code == 2 and err.startswith("error:") and flags[-2] in err
+
+    @pytest.mark.parametrize("text, flags, code, words", [
+        ("x1,x2,y\n1,2,3\n4,5,7\n9,1,2\n", (), 2, "need p < n - 1"),
+        ("x1,x2,x3,y\n1,2,3,4\n4,5,7,1\n9,1,2,3\n", (), 2, "need p < n - 1"),
+        ("x1,x2,x3,y\n1,2,3,4\n4,5,7,1\n", ("--smoother", "ridge", "--lam", "1"), 2,
+         "need p < n - 1"),
+        # least squares cannot fit n = 2 rows in p = 3: the fit fails before any criterion
+        ("x1,x2,x3,y\n1,2,3,4\n4,5,7,1\n", (), 3, "rank(X) < p"),
+    ], ids=["ls_n3_p2", "ls_n3_p3", "ridge_n2_p3", "ls_n2_p3"])
+    def test_size_rule_is_input_error(self, tmp_path, capsys, text, flags, code, words):
+        path = tmp_path / "small.csv"
+        path.write_text(text)
+        got, out, err = run_cli(capsys, "eval", str(path), *flags)
+        assert got == code and out == "" and err.startswith("error:") and words in err
+
+    @pytest.mark.parametrize("rows_before", [0, 5000])  # decoded with the header, or later
+    def test_file_that_is_not_utf8_is_input_error(self, tmp_path, capsys, rows_before):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x,y\n" + b"1,2\n" * rows_before + "\u00e9,3\n".encode("latin-1"))
+        code, _, err = run_cli(capsys, "eval", str(path))
+        assert code == 2 and "not UTF-8" in err
+
     def test_non_numeric_cell_names_row(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\noops,4\n")
@@ -191,6 +224,11 @@ class TestEval:
 
 # Ways a double may be written in an eval CSV.
 _FORMATS = (repr, lambda x: "%.17g" % x, lambda x: "%.6e" % x)
+# Numeric cells of an eval CSV; the last two are quoted and span two lines.
+_GOOD_CELLS = ("1", "-2.5", "3e2", " 4", '"5"', '"6\n"', '"\n7"')
+# Pieces of arbitrary short CSV bodies.
+_TOKENS = ("0", "1", "7", ".", "-", "e", ",", '"', '""', "\r", "\n", "\r\n", "\t", " ",
+           "inf", "nan", "1_0")
 
 
 class TestReadDataset:
@@ -247,6 +285,60 @@ class TestReadDataset:
         code, _, err = run_cli(capsys, "eval", str(path))
         assert code == 2 and f"row {row}:" in err
 
+    @pytest.mark.parametrize("text, row", [
+        ('"a,b\n' + "1,2\n" * 40_000, 1),  # the header's quote is never closed
+        ('a,b\n1,2\n"3,' + "4\n5,6\n" * 40_000, 3),  # a data record's quote is never closed
+    ], ids=["header", "data_record"])
+    def test_record_csv_cannot_split_names_its_first_row(self, tmp_path, capsys, text, row):
+        path = tmp_path / "unclosed.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="field larger than field limit") as info:
+            _read_dataset(str(path))
+        assert info.value.row == row
+        code, _, err = run_cli(capsys, "eval", str(path))
+        assert code == 2 and err.startswith(f"error: row {row}: malformed CSV")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_bad_record_is_named_by_its_first_line(self, tmp_path_factory, data):
+        width = data.draw(st.integers(2, 4), label="width")
+        good = st.lists(st.sampled_from(_GOOD_CELLS), min_size=width, max_size=width)
+        line = st.one_of(good.map(",".join), st.just(""))  # "" is a blank line
+        before = data.draw(st.lists(line, max_size=5), label="before")
+        after = data.draw(st.lists(line, max_size=3), label="after")
+        cells = data.draw(good, label="cells")
+        bad = data.draw(st.sampled_from(("oops", "1_000", "", "inf", "ragged")), label="bad")
+        if bad != "ragged":
+            cells[data.draw(st.integers(0, width - 1), label="column")] = bad
+        elif data.draw(st.booleans(), label="short"):
+            cells.pop()
+        else:
+            cells.append("1")
+        header = ",".join(f"c{j}" for j in range(width))
+        text = "\n".join([header, *before, ",".join(cells), *after]) + "\n"
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+        path = tmp_path_factory.mktemp("bad") / "data.csv"
+        path.write_bytes(text.replace("\n", newline).encode())
+        with pytest.raises(ParseError) as info:
+            _read_dataset(str(path))
+        assert info.value.row == 2 + sum(1 + record.count("\n") for record in before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        header=st.sampled_from(["a,b\n", "a,b,c\r\n"]),
+        body=st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=20).map("".join),
+                       st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)),
+    )
+    def test_any_body_reads_finite_or_is_a_parse_error(self, tmp_path_factory, header, body):
+        path = tmp_path_factory.mktemp("body") / "data.csv"
+        path.write_bytes((header + body).encode())
+        try:
+            X, Y = _read_dataset(str(path))
+        except ParseError:
+            return
+        assert X.shape == (len(Y), header.count(",")) and len(Y) >= 2
+        assert np.all(np.isfinite(X)) and np.all(np.isfinite(Y))
+
     def test_peak_memory_tracks_the_data(self, tmp_path):
         rng = np.random.default_rng(3)
         path = tmp_path / "big.csv"
@@ -264,6 +356,30 @@ class TestReadDataset:
 
 
 class TestDecompose:
+    def test_unreadable_config(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "decompose", "--config", str(tmp_path / "absent.json"))
+        assert code == 2 and "cannot read config" in err
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "decompose", "--config", str(path))
+        assert code == 2 and "top level must be a JSON object" in err
+
+    @pytest.mark.parametrize("over, field, words", [
+        ({"scenarios": []}, "scenarios", "non-empty list"),
+        ({"sigma": -1.0}, "sigma", "sigma must be finite and > 0"),
+        ({"scenarios": [1]}, "scenarios[0]", "expected object"),
+    ], ids=["no_scenarios", "negative_sigma", "scenario_not_object"])
+    def test_bad_study_value_is_named(self, tmp_path, capsys, over, field, words):
+        code, _, err = run_cli(capsys, "decompose", "--config", write_config(tmp_path, **over))
+        assert code == 2 and err.startswith(f"error: config field '{field}':") and words in err
+
+    def test_integer_is_read_as_a_number(self, tmp_path, capsys):
+        outs = [run_cli(capsys, "decompose", "--config", write_config(tmp_path, sigma=sigma))
+                for sigma in (2, 2.0)]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
     def test_stdout_table(self, tmp_path, capsys):
         config = write_config(tmp_path)
         code, out, _ = run_cli(capsys, "decompose", "--config", config)
@@ -607,6 +723,27 @@ class TestModelFields:
         code, _, err = run_cli(capsys, "decompose", "--config", _config_with(tmp_path, model, spec))
         unread = [key for key in spec if key not in ("variant", *MODELS[model].FIELDS[spec["variant"]])]
         assert code == 2 and f"'{WHERE[model]}.{unread[0]}'" in err
+
+
+@pytest.mark.parametrize("command", ["decompose", "criteria", "ridge-ratio"])
+def test_threads_below_one_is_input_error(tmp_path, capsys, command):
+    args = (["--n", "30", "--p", "5", "--reps", "3"] if command == "ridge-ratio"
+            else ["--config", write_config(tmp_path)])
+    code, out, err = run_cli(capsys, command, *args, "--threads", "0")
+    assert code == 2 and out == "" and err == "error: threads must be >= 1\n"
+
+
+def test_module_entry_point_passes_exit_codes_to_the_shell(tmp_path):
+    good, _, _ = write_dataset(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,y\n1,2\noops,4\n")
+    collinear = tmp_path / "collinear.csv"
+    collinear.write_text("x1,x2,y\n1,2,1\n2,4,2\n3,6,2\n4,8,5\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(randomx_eval.__file__).resolve().parents[1])}
+    for path, code in ((good, 0), (bad, 2), (collinear, 3)):
+        proc = subprocess.run([sys.executable, "-m", "randomx_eval.cli", "eval", str(path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
 
 
 def test_import_leaves_scipy_special_unloaded():

@@ -125,6 +125,9 @@ class TestScalarCriteria:
             cp(-1.0, 10, 2, 1.0)
         with pytest.raises(ValueError):
             cp(1.0, 10, 2, -1.0)
+        for n, p in ((1, 0.5), (10, 0.0)):
+            with pytest.raises(ValueError, match="need n >= 2 and p > 0"):
+                gcv(1.0, n, p)
 
 
 class TestVplus:
@@ -196,6 +199,8 @@ class TestOcv:
             ocv(np.array([1.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             ocv(np.array([1.0]), np.array([-0.1]))
+        with pytest.raises(ValueError, match="finite"):
+            ocv(np.array([np.nan, 1.0]), np.array([0.1, 0.1]))
 
 
 class TestBplusAndRcpPlus:

@@ -217,6 +217,10 @@ class TestDrawCovariates:
             CovariateModel.scaled_product(2, sigma_half=np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             draw_covariates(CovariateModel.isotropic(2), 0, stream(0, 0, TRAIN))
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            CovariateModel.isotropic(0)
+        with pytest.raises(ValueError, match="p x p"):
+            CovariateModel.scaled_product(2, sigma_half=np.eye(3))
 
 
 # --------------------------------------------------------------------------
@@ -246,6 +250,8 @@ class TestMeanModels:
             MeanModel("abs_sum", C=np.inf)
         with pytest.raises(ValueError):
             MeanModel.linear_beta(np.array([1.0])).evaluate(self.X)
+        with pytest.raises(ValueError, match="finite 1-D"):
+            MeanModel.linear_beta(np.array([1.0, np.nan]))
 
 
 class TestNoiseAndResponse:

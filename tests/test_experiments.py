@@ -350,6 +350,9 @@ class TestRidgeRatioStudy:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="finite"):
                 run_ridge_ratio_study(n=10, p=2, lambdas=np.array([1.0, bad]))
+        for n, p in ((0, 2), (10, 0)):
+            with pytest.raises(ValueError, match="need n >= 1 and p >= 1"):
+                ridge_ratio_limit_normal(n, p)
 
 
 class TestRidgeRatioLimitMc:

@@ -95,6 +95,16 @@ def test_user_setting_left_alone(monkeypatch, var):
     assert blas_threads(in_loop=True) == 2
 
 
+@pytest.mark.parametrize("reps, threads, words", [
+    (0, 1, "reps must be >= 1"), (4, 0, "threads must be >= 1"), (4, -2, "threads must be >= 1"),
+])
+def test_counts_below_one_are_rejected_before_any_replicate(reps, threads, words):
+    calls = []
+    with pytest.raises(ValueError, match=words):
+        run_replicates(calls.append, reps, threads, 0)
+    assert calls == []
+
+
 def test_runs_when_no_library_is_found(monkeypatch):
     monkeypatch.setattr(_pool, "_blas_pools", lambda: ())
     assert run_replicates(lambda r: r * r, 4, 2, 0) == [0, 1, 4, 9]

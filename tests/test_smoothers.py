@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from randomx_eval.errors import DegenerateNeighbors, RankDeficient
+from randomx_eval.errors import DegenerateNeighbors, NotPositiveDefinite, RankDeficient
 from randomx_eval.smoothers import (
     SmootherSpec,
     fit,
@@ -28,6 +28,14 @@ class TestLeastSquares:
     def test_predict_extrapolates(self):
         m = fit(SmootherSpec.least_squares(), TWO_X, TWO_Y)
         np.testing.assert_allclose(predict(m, [[3.0]]), [4.2], rtol=1e-12)
+
+    def test_predict_rejects_bad_rows(self):
+        m = fit(SmootherSpec.least_squares(), TWO_X, TWO_Y)
+        for X0 in ([[3.0, 4.0]], [3.0]):
+            with pytest.raises(ValueError, match=r"X0 must be \(m, 1\)"):
+                predict(m, X0)
+        with pytest.raises(ValueError, match="X0 must be finite"):
+            predict(m, [[np.inf]])
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(10)
@@ -71,6 +79,13 @@ class TestRidge:
         X = np.column_stack([np.ones(6), np.ones(6)])
         m = fit(SmootherSpec.ridge(1.0), X, np.arange(6.0))
         assert np.all(np.isfinite(m.coefficients))
+
+    def test_tiny_penalty_on_a_zero_column_is_not_rank_deficient(self):
+        # with lam > 0 the failure is the penalised system's, not the design's rank
+        X = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
+        with pytest.raises(NotPositiveDefinite) as info:
+            fit(SmootherSpec.ridge(1e-300), X, np.arange(6.0))
+        assert not isinstance(info.value, RankDeficient)
 
 
 class TestKernelRidge:
