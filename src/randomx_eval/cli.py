@@ -388,7 +388,8 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _bad_row(path: str, width: int) -> ParseError:
     """The error naming the first data record, as `csv` splits them, with other than
-    ``width`` cells or, left to right, a cell `np.loadtxt` rejects or reads as non-finite."""
+    ``width`` cells or, left to right, a cell `np.loadtxt` rejects or reads as non-finite;
+    a record's cells are read in one call, and cell by cell only if that call finds one."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -397,9 +398,14 @@ def _bad_row(path: str, width: int) -> ParseError:
             for cells in reader:
                 if cells and len(cells) != width:
                     return ParseError(f"expected {width} columns, got {len(cells)}", row=row)
-                for j, cell in enumerate(cells, start=1):
+                quoted = ['"%s"' % cell.replace('"', '""') for cell in cells]
+                try:
+                    good = np.isfinite(_loadtxt(io.StringIO("\n".join(quoted)))).all()
+                except ValueError:
+                    good = False
+                for j, (cell, text) in enumerate(zip(cells, [] if good else quoted), start=1):
                     try:
-                        value = _loadtxt(io.StringIO('"%s"' % cell.replace('"', '""')))
+                        value = _loadtxt(io.StringIO(text))
                     except ValueError:
                         return ParseError(f"non-numeric value {cell!r} in column {j}", row=row)
                     if not np.isfinite(value).all():

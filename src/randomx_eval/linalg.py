@@ -2,8 +2,9 @@
 
 `smoothers._factorize` factors the (possibly ridge-shifted) Gram matrix
 X'X + lam I, or the kernel system K + lam I, through `_cholesky_spd` once per
-training design, and every solve with it goes through `_cho_solve` or
-`_tri_solve`.  They call LAPACK's ``dpotrf``/``dpotrs``/``dtrtrs`` directly,
+training design.  Every solve with it goes through `_cho_solve` or
+`_tri_solve`, and kernel ridge turns it into the explicit inverse with
+`_cho_inverse`.  They call LAPACK's ``dpotrf``/``dpotrs``/``dtrtrs``/``dpotri`` directly,
 without the per-call argument handling of `scipy.linalg.cho_factor`/`cho_solve`.
 Rank deficiency is flagged by a pivot threshold relative to the largest
 diagonal entry rather than by LAPACK's hard failure alone, so
@@ -13,7 +14,7 @@ nearly-singular designs fail loudly instead of returning garbage.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 from .errors import NotPositiveDefinite
 
@@ -54,3 +55,13 @@ def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
 def _tri_solve(factor, b: np.ndarray) -> np.ndarray:
     """F^-1 b for the lower factor F (A = F F') in the ``factor`` returned by `_cholesky_spd`."""
     return dtrtrs(factor[0], b, lower=factor[1])[0]
+
+
+def _cho_inverse(factor) -> np.ndarray:
+    """A^-1 written over the ``factor`` of A returned by `_cholesky_spd`: ``dpotri`` fills
+    one triangle and a loop over columns mirrors it, so A^-1 is exactly symmetric."""
+    inv = dpotri(factor[0], lower=factor[1], overwrite_c=1)[0]  # the screened pivots are > 0
+    tri = inv if factor[1] else inv.T  # dpotri wrote the lower triangle of ``tri``
+    for j in range(len(inv) - 1):
+        tri[j, j + 1:] = tri[j + 1:, j]
+    return inv

@@ -3,9 +3,9 @@
 Every smoother here is linear in the response: its prediction at query rows
 X0 is L(X0) Y, for a weight matrix L that depends only on the training rows
 X and on X0.  `_factorize(spec, X)` does the one costly step per training
-design — the Cholesky factor of A = X'X + lam I (least squares, ridge) or
-of A = K + lam I (kernel ridge), or the in-sample neighbor search (kNN) —
-and returns the operator that everything else is read from:
+design — the Cholesky factor of A = X'X + lam I (least squares, ridge),
+the inverse of A = K + lam I (kernel ridge), or the in-sample neighbor
+search (kNN) — and returns the operator that everything else is read from:
 
 ``solve(y)``                weights c of y: A^-1 X'y, A^-1 y, or y itself (kNN);
 ``apply(c, X0, sigma2)``    L(X0) y = X0 c, k(X0, X) c, or the mean of c over
@@ -47,7 +47,7 @@ import numpy as np
 
 from .datagen import _check_variant
 from .errors import DegenerateNeighbors, NotPositiveDefinite, RankDeficient
-from .linalg import _cho_solve, _cholesky_spd, _tri_solve
+from .linalg import _cho_inverse, _cho_solve, _cholesky_spd, _tri_solve
 
 __all__ = [
     "SmootherSpec",
@@ -160,9 +160,10 @@ def _as_xy(X, Y) -> tuple[np.ndarray, np.ndarray]:
 class _Operator:
     """The weight matrix L(.) of one smoother on one training design X.
 
-    ``factor`` is the Cholesky factor of A; ``K`` is the training kernel and
-    ``bandwidth`` its resolved bandwidth (kernel ridge); ``nbrs`` holds the
-    in-sample neighbor sets (kNN).  Evaluating L(X0) y at new rows needs
+    ``factor`` is the Cholesky factor of A (least squares, ridge); ``K`` is the
+    training kernel, ``A_inv`` the inverse of A = K + lam I and ``bandwidth``
+    the resolved bandwidth (kernel ridge); ``nbrs`` holds the in-sample
+    neighbor sets (kNN).  Evaluating L(X0) y at new rows needs
     only ``spec``, ``X`` and ``bandwidth``.
     """
 
@@ -172,13 +173,15 @@ class _Operator:
     K: np.ndarray | None = None
     bandwidth: float | None = None
     nbrs: np.ndarray | None = None
+    A_inv: np.ndarray | None = None
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """The weights c of y, for ``apply``."""
         if self.spec.variant == "knn":
             return y
-        rhs = y if self.spec.variant == "kernel_ridge" else self.X.T @ y
-        return _cho_solve(self.factor, rhs)
+        if self.spec.variant == "kernel_ridge":
+            return self.A_inv @ y
+        return _cho_solve(self.factor, self.X.T @ y)
 
     def apply(self, c: np.ndarray, X0: np.ndarray | None = None, sigma2: float | None = None):
         """``(L(X0) y, sigma2 ||L(X0)||_F^2 / m)`` for c = solve(y); X0 ``None`` means X.
@@ -198,12 +201,13 @@ class _Operator:
         if sigma2 is None:
             return out, None
         n, p = X.shape
-        if not kernel and spec.lam == 0.0 and X0 is None:
+        if kernel:  # L(X) = K A^-1 = I - lam A^-1 and L(X0) = k(X0, X) A^-1
+            W = np.eye(n) - spec.lam * self.A_inv if X0 is None else B @ self.A_inv
+            return out, sigma2 / len(B) * float(np.vdot(W, W))
+        if spec.lam == 0.0 and X0 is None:
             return out, sigma2 * p / n
         W = _cho_solve(self.factor, B.T)  # A^-1 B'
-        if kernel:
-            sq = np.sum(W * W)  # L(X0)' = W
-        elif spec.lam == 0.0:
+        if spec.lam == 0.0:
             sq = np.einsum("ij,ji->", B, W)  # L(X0) L(X0)' = X0 A^-1 X0'
         else:
             XW = X @ W  # L(X0)' = X W
@@ -225,7 +229,7 @@ class _Operator:
         if self.spec.variant == "knn":
             return np.full(len(self.X), 1.0 / self.spec.k)
         if self.spec.variant == "kernel_ridge":
-            h = np.diag(_cho_solve(self.factor, self.K))
+            h = 1.0 - self.spec.lam * np.diag(self.A_inv)  # L(X) = I - lam A^-1
         else:
             W = _cho_solve(self.factor, self.X.T)
             h = np.einsum("ij,ji->i", self.X, W)
@@ -250,7 +254,8 @@ def _factorize(spec: SmootherSpec, X: np.ndarray) -> _Operator:
         d2 = _sq_distances(X, X)
         bandwidth = gaussian_bandwidth(X, d2) if spec.bandwidth is None else spec.bandwidth
         K = kernel_matrix(X, X, bandwidth, d2)
-        return _Operator(spec, X, _cholesky_spd(K + spec.lam * np.eye(n)), K, bandwidth)
+        A_inv = _cho_inverse(_cholesky_spd(K + spec.lam * np.eye(n)))
+        return _Operator(spec, X, K=K, bandwidth=bandwidth, A_inv=A_inv)
     G = X.T @ X
     if spec.lam:
         G = G + spec.lam * np.eye(p)
@@ -394,10 +399,10 @@ def gaussian_bandwidth(X: np.ndarray, d2: np.ndarray | None = None) -> float:
         return 1.0
     if d2 is None:
         d2 = _sq_distances(X, X)
-    iu, ju = np.triu_indices(n, k=1)
-    sq = d2[iu, ju]
-    near = sq <= np.max(_rounding_tol(X, X))
-    sq[near] = _exact_sq_pairs(X, X, iu[near], ju[near])
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    tol = np.max(_rounding_tol(X, X))
+    sq = d2[upper]
+    sq[sq <= tol] = _exact_sq_pairs(X, X, *np.nonzero(upper & (d2 <= tol)))
     d = np.sqrt(sq[sq > 0])
     return float(np.median(d)) if d.size else 1.0
 
@@ -410,5 +415,7 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, bandwidth: float,
         raise ValueError("gaussian kernel needs a finite bandwidth > 0")
     if d2 is None:
         d2 = _sq_distances(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-    return np.exp(-d2 / (2.0 * bandwidth**2))
+    K = np.negative(d2)  # exp(-d2 / (2 bandwidth^2)) in one n x n array besides d2
+    K /= 2.0 * bandwidth**2
+    return np.exp(K, out=K)
 

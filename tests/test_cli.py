@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import randomx_eval
 from randomx_eval._pool import USER_BLAS_ENV, _blas_pools, blas_threads
+from randomx_eval import cli
 from randomx_eval.cli import _read_dataset, bundled_config_path, main
 from randomx_eval.criteria import criteria_report
 from randomx_eval.datagen import CovariateModel, MeanModel
@@ -339,6 +340,27 @@ class TestReadDataset:
         assert X.shape == (len(Y), header.count(",")) and len(Y) >= 2
         assert np.all(np.isfinite(X)) and np.all(np.isfinite(Y))
 
+    def test_bad_last_record_reads_each_record_once(self, tmp_path, monkeypatch):
+        # one reader call per good record, and cell by cell only for the bad one
+        rows, width = 300, 6
+        lines = [",".join(f"c{j}" for j in range(width))] + [",".join(["1.5"] * width)] * rows
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines + [",".join(["2"] * (width - 1) + ["oops"])]) + "\n")
+        calls, loadtxt = [], cli._loadtxt
+        monkeypatch.setattr(cli, "_loadtxt", lambda text: calls.append(text) or loadtxt(text))
+        error = cli._bad_row(str(path), width)
+        assert (error.row, str(error)) == (rows + 2, f"row {rows + 2}: non-numeric value 'oops' in column {width}")
+        assert len(calls) <= rows + 1 + width
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=st.lists(st.lists(st.sampled_from(_GOOD_CELLS + ("oops", "inf", "", '"1\n"', "nan")),
+                                  min_size=1, max_size=4).map(",".join), max_size=6).map("\n".join))
+    def test_locator_names_what_a_cell_by_cell_read_names(self, tmp_path_factory, body):
+        # the record-at-once reader gives the row and message of reading every cell alone
+        path = tmp_path_factory.mktemp("cells") / "data.csv"
+        path.write_text("a,b,c\n" + body + "\n")
+        assert str(cli._bad_row(str(path), 3)) == str(_bad_row_cell_by_cell(str(path), 3))
+
     def test_peak_memory_tracks_the_data(self, tmp_path):
         rng = np.random.default_rng(3)
         path = tmp_path / "big.csv"
@@ -353,6 +375,26 @@ class TestReadDataset:
             tracemalloc.stop()
         assert X.shape == (2000, 50)
         assert peak <= 3 * (X.nbytes + Y.nbytes)
+
+
+def _bad_row_cell_by_cell(path, width):
+    """`cli._bad_row` with one reader call per cell: the rows and messages it must give."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        row = reader.line_num + 1
+        for cells in reader:
+            if cells and len(cells) != width:
+                return ParseError(f"expected {width} columns, got {len(cells)}", row=row)
+            for j, cell in enumerate(cells, start=1):
+                try:
+                    value = cli._loadtxt(io.StringIO('"%s"' % cell.replace('"', '""')))
+                except ValueError:
+                    return ParseError(f"non-numeric value {cell!r} in column {j}", row=row)
+                if not np.isfinite(value).all():
+                    return ParseError(f"non-finite value in column {j}", row=row)
+            row = reader.line_num + 1
+    return ParseError("malformed data")
 
 
 class TestDecompose:

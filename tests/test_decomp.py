@@ -10,6 +10,7 @@ matrices, without noise.
 """
 
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +365,22 @@ class TestEstimateDecomposition:
         assert est.reps == 10
         with pytest.raises(ValueError):
             estimate_decomposition(replace(_scenario(), reps=1), SmootherSpec.least_squares())
+
+    def test_kernel_ridge_cell_holds_few_kernel_matrices(self):
+        # the operator keeps K and (K + lam I)^-1, not a factor besides, and the X0 kernel
+        # adds its distances and one partial sum: under five n x n matrices at once
+        n = 500
+        sc = _scenario(covariates=CovariateModel.normal_block(50, 5, 0.9),
+                       mean=MeanModel.abs_sum(0.75), n=n, reps=2)
+        spec = SmootherSpec.kernel_ridge(1.0)
+        estimate_decomposition(sc, spec)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            estimate_decomposition(sc, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * n * n * 8
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Tests for the pivot-screened Cholesky factor and the hat diagonal built on it."""
+"""Tests for the pivot-screened Cholesky factor, the inverse and hat diagonal built on it."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
+from randomx_eval import linalg
 from randomx_eval.errors import NotPositiveDefinite, RankDeficient
-from randomx_eval.linalg import _cholesky_spd
+from randomx_eval.linalg import _cho_inverse, _cholesky_spd
 from randomx_eval.smoothers import SmootherSpec, fit
 
 
@@ -65,6 +67,36 @@ class TestSolveSpd:
         # non-finite data is rejected where it enters, before any factorization
         with pytest.raises(ValueError):
             fit(SmootherSpec.least_squares(), [[np.inf], [1.0]], [1.0, 1.0])
+
+
+class TestChoInverse:
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 201])
+    def test_symmetric_and_equal_to_the_inverse(self, n):
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, n + 5))
+        A = M @ M.T / n + np.eye(n)  # condition number below about 10
+        inv = _cho_inverse(_cholesky_spd(A))
+        assert np.array_equal(inv, inv.T)
+        ref = np.linalg.inv(A)
+        assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_upper_factor_mirrors_the_other_triangle(self):
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((9, 12))
+        A = M @ M.T + np.eye(9)
+        inv = _cho_inverse((dpotrf(A, lower=0, clean=0)[0], False))
+        assert np.array_equal(inv, inv.T)
+        np.testing.assert_allclose(inv @ A, np.eye(9), atol=1e-12)
+
+    def test_rejected_matrix_forms_no_inverse(self, monkeypatch):
+        inverted = []
+        monkeypatch.setattr(linalg, "dpotri", lambda *a, **k: inverted.append(a))
+        for A in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]):  # indefinite, singular
+            with pytest.raises(NotPositiveDefinite):
+                _cho_inverse(_cholesky_spd(np.array(A)))
+        with pytest.raises(NotPositiveDefinite):  # kernel ridge on duplicate rows, lam ~ 0
+            fit(SmootherSpec.kernel_ridge(1e-300), np.ones((4, 2)), np.zeros(4))
+        assert inverted == []
 
 
 class TestHatDiagonal:

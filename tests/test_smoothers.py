@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randomx_eval.errors import DegenerateNeighbors, NotPositiveDefinite, RankDeficient
 from randomx_eval.smoothers import (
     SmootherSpec,
+    _factorize,
     fit,
     gaussian_bandwidth,
     kernel_matrix,
@@ -135,6 +138,45 @@ class TestKernelRidge:
     def test_kernel_matrix_rejects_bad_bandwidth(self, bandwidth):
         with pytest.raises(ValueError, match="finite bandwidth > 0"):
             kernel_matrix(np.eye(2), np.eye(2), bandwidth)
+
+
+@st.composite
+def kernel_designs(draw):
+    """Small normal training rows X, query rows X0 and a response y."""
+    p = draw(st.integers(1, 4))
+    n, m = draw(st.integers(2, 14)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((n, p)), rng.standard_normal((m, p)), rng.standard_normal(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_designs(), st.sampled_from([1e-6, 0.5, 50.0]), st.sampled_from([0.25, 400.0]))
+def test_kernel_ridge_operator_matches_explicit_weights(design, lam, sigma2):
+    # solve, hat_diag and apply at X and X0 against L(X0) = k(X0, X) (K + lam I)^-1 written out
+    X, X0, y = design
+    op = _factorize(SmootherSpec.kernel_ridge(lam), X)
+
+    def k(A, B):
+        return np.exp(-((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2) / (2.0 * op.bandwidth**2))
+
+    A = k(X, X) + lam * np.eye(len(X))
+    S, S0 = k(X, X) @ np.linalg.inv(A), k(X0, X) @ np.linalg.inv(A)
+    tol = 1e-14 * np.linalg.cond(A)  # a backward-stable solve's forward error, with room
+
+    # L(X) = I - lam A^-1 is exact to the rounding of I: the absolute scale of h is 1,
+    # and that of a variance sigma2 ||I||_F^2 / n
+    def close(got, want, scale):
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * scale)
+
+    c = op.solve(y)
+    close(c, np.linalg.solve(A, y), np.max(np.abs(c)))
+    h = op.hat_diag()
+    assert np.all((h >= 0.0) & (h <= 1.0))
+    close(h, np.diag(S), 1.0)
+    for rows, L in ((None, S), (X0, S0)):
+        out, var = op.apply(c, rows, sigma2)
+        close(out, L @ y, np.max(np.abs(y)))
+        close(var, sigma2 * np.sum(L * L) / len(L), sigma2)
 
 
 class TestNeighborSets:
