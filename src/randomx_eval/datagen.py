@@ -21,10 +21,10 @@ Every random draw comes from a counter-based Philox stream keyed by
 ``(master_seed, replicate, purpose)`` through `stream`.  Streams for distinct
 keys are independent, and a draw depends only on its own key — never on how
 many worker threads are running or in which order replicates complete — so
-study output is byte-identical across ``--threads``.  Decomposition cells
-that share ``(seed, n, reps)``, and criteria cells that also share ``test_m``,
-run in one replicate loop: `draw_covariate_laws` draws their ``TRAIN`` (and
-``TEST``) rows from one stream per p and base marginal, criteria cells share
+study output is byte-identical across ``--threads``.  Study cells that share
+``(seed, n, reps)`` (and, for the criteria, ``test_m``) run in one replicate
+loop, `decomp._replicate_cells`: `draw_covariate_laws` draws their ``TRAIN``
+and ``TEST`` rows from one stream per p and base marginal, criteria cells share
 one ``NOISE`` vector, and the cells share one factorization per distinct law,
 so a cell's numbers equal those of running it alone.  Replicate loops run BLAS
 on one thread.

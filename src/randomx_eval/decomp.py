@@ -25,6 +25,9 @@ replicate draws X alone; otherwise it samples an n-row X0.
 Excess terms are averaged as per-replicate *paired* differences (Random-X
 moment minus Same-X moment on the same draw), which is what their standard
 errors describe.
+
+This study and `experiments.run_criteria_study` share one replicate loop,
+`_replicate_cells`; they differ only in what a cell computes and how it sums.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from ._pool import run_replicates
 from .criteria import _check_resid, _check_sigma2
-from .datagen import TEST, TRAIN, X0Moments, draw_covariate_laws, stream, x0_moments
+from .datagen import NOISE, TEST, TRAIN, X0Moments, draw_covariate_laws, stream, x0_moments
 from .errors import ReplicateError
 from .smoothers import SmootherSpec, _as_xy, _factorize, _Operator
 
@@ -154,44 +157,64 @@ def estimate_decomposition(
     an n-row test matrix from ``(seed, r, TEST)``; the moments given that draw
     are exact, so their means over ``scenario.reps`` replicates are unbiased
     estimates of all four terms.  Output is identical for any ``threads`` and
-    equals this scenario's row of `experiments.run_decomposition_study`, which
-    runs cells that share ``(seed, n, reps)`` in one loop, sharing each
-    replicate's draws and one factorization per distinct covariate law.
+    equals this scenario's row of `experiments.run_decomposition_study`.
     """
     return _estimate_group([scenario], smoother, threads)[0]
+
+
+def _replicate_cells(scenarios: "list[ScenarioConfig]", fitted, cell, moments: list, test_m: int,
+                     threads: int, noise: bool = False) -> np.ndarray:
+    """``cell`` of each scenario in each replicate, in one loop: they share ``(seed, n, reps)``.
+
+    Replicate r draws the cells' ``TRAIN`` rows with ``fitted`` applied once per distinct law,
+    ``test_m`` ``TEST`` rows for each cell whose ``moments`` entry is None, and one ``NOISE``
+    n-vector ``eps`` if ``noise``, all through `draw_covariate_laws` and `stream`.  It calls
+    ``cell(sc, fit, test, eps)``, ``test`` the cell's `X0Moments` or ``(X0, f(X0))``, and frees
+    each cell's fit and rows before the next cell's are made; a failing cell is named in the
+    `ReplicateError`.  Returns the (cells, reps, k) array of the k numbers ``cell`` returns.
+    """
+    seed, n, reps = scenarios[0].seed, scenarios[0].n, scenarios[0].reps
+    sampled = [sc.covariates for sc, m in zip(scenarios, moments) if m is None]
+
+    def one_rep(r: int) -> list:
+        fits = draw_covariate_laws([sc.covariates for sc in scenarios], n,
+                                   lambda: stream(seed, r, TRAIN), fitted)
+        X0s = draw_covariate_laws(sampled, test_m, lambda: stream(seed, r, TEST))
+        eps = stream(seed, r, NOISE).standard_normal(n) if noise else None
+        out = []
+        for sc, test in zip(scenarios, moments):
+            try:
+                fit = next(fits)
+                if test is None:
+                    test = next(X0s)
+                    test = (test, sc.mean.evaluate(test))
+                out.append(cell(sc, fit, test, eps))
+            except Exception as exc:
+                raise ReplicateError(r, seed, exc, sc.name) from exc
+            del fit, test  # free this cell's fit and rows before the next cell's are made
+        return out
+
+    return np.array(run_replicates(one_rep, reps, threads, seed)).transpose(1, 0, 2)
 
 
 def _estimate_group(scenarios: "list[ScenarioConfig]", smoother: SmootherSpec,
                     threads: int) -> list[DecompositionEstimate]:
     """`estimate_decomposition` of each scenario, in one loop: they share ``(seed, n, reps)``."""
-    seed, n, reps = scenarios[0].seed, scenarios[0].n, scenarios[0].reps
+    reps = scenarios[0].reps
     exact = smoother.variant in ("least_squares", "ridge")
     moments = [x0_moments(sc.covariates, sc.mean) if exact else None for sc in scenarios]
-    sampled = [sc.covariates for sc, m in zip(scenarios, moments) if m is None]
 
-    def one_rep(r: int) -> list[ConditionalMoments]:
-        ops = draw_covariate_laws([sc.covariates for sc in scenarios], n,
-                                  lambda: stream(seed, r, TRAIN), lambda X: _factorize(smoother, X))
-        X0s = draw_covariate_laws(sampled, n, lambda: stream(seed, r, TEST))
-        out = []
-        for sc, test in zip(scenarios, moments):
-            try:
-                op = next(ops)
-                if test is None:
-                    X0 = next(X0s)
-                    test = (X0, sc.mean.evaluate(X0))
-                out.append(_conditional_moments(op, sc.mean.evaluate(op.X), sc.noise.sigma2, test))
-            except Exception as exc:
-                raise ReplicateError(r, seed, exc, sc.name) from exc
-            del op  # free this cell's operator before the next one is built
-        return out
+    def cell(sc: "ScenarioConfig", op: _Operator, test, eps) -> ConditionalMoments:
+        return _conditional_moments(op, sc.mean.evaluate(op.X), sc.noise.sigma2, test)
+
+    cells = _replicate_cells(scenarios, lambda X: _factorize(smoother, X), cell, moments,
+                             scenarios[0].n, threads)
 
     def se(x: np.ndarray) -> float:
         return float(np.std(x, ddof=1) / np.sqrt(reps))
 
     estimates = []
-    cells = np.array(run_replicates(one_rep, reps, threads, seed)).transpose(1, 2, 0)
-    for sc, (bias_s, var_s, bias_r, var_r) in zip(scenarios, cells):
+    for sc, (bias_s, var_s, bias_r, var_r) in zip(scenarios, cells.transpose(0, 2, 1)):
         sigma2 = sc.noise.sigma2
         B = float(np.mean(bias_s))
         V = float(np.mean(var_s))

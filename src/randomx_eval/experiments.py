@@ -38,20 +38,9 @@ import numpy as np
 
 from ._pool import run_replicates
 from .criteria import _check_sigma2, bplus_hat, gcv, ocv, rcp, rcp_hat
-from .datagen import (
-    NOISE,
-    TEST,
-    TRAIN,
-    CovariateModel,
-    MeanModel,
-    NoiseModel,
-    _derivation,
-    draw_covariate_laws,
-    draw_covariates,
-    stream,
-)
-from .decomp import DecompositionEstimate, _estimate_group
-from .errors import ReplicateError
+from .datagen import (TRAIN, CovariateModel, MeanModel, NoiseModel, _derivation, draw_covariates,
+                      stream)
+from .decomp import DecompositionEstimate, _estimate_group, _replicate_cells
 from .smoothers import FittedSmoother, SmootherSpec, _factorize, predict
 
 # Unused here, but perfbench/tracer.py wraps these names as bound in this module.
@@ -144,9 +133,9 @@ def run_decomposition_study(
 ) -> list[tuple[ScenarioConfig, DecompositionEstimate]]:
     """Decomposition estimates for each scenario (default: least squares).
 
-    Scenarios that share ``(seed, n, reps)`` run in one replicate loop, sharing each replicate's
-    ``TRAIN`` and ``TEST`` draws and one factorization per distinct covariate law; a scenario's
-    numbers equal those of `estimate_decomposition` run on it alone.
+    Scenarios that share ``(seed, n, reps)`` run in one replicate loop, `decomp._replicate_cells`,
+    sharing each replicate's ``TRAIN`` and ``TEST`` draws and one factorization per distinct
+    covariate law; a scenario's numbers equal those of `estimate_decomposition` run on it alone.
     """
     smoother = smoother or SmootherSpec.least_squares()
     return list(zip(scenarios, _by_group(scenarios, lambda sc: (sc.seed, sc.n, sc.reps),
@@ -193,9 +182,10 @@ def run_criteria_study(scenarios: list[ScenarioConfig], threads: int = 1) -> lis
     coefficients that makes most of that variance.
 
     Rows come in the scenarios' order.  Scenarios that share ``(seed, n, reps,
-    test_m)`` run in one replicate loop, sharing each replicate's ``TRAIN``,
-    ``NOISE`` and ``TEST`` draws and one factorization per distinct covariate
-    law; a scenario's rows equal those it gets alone.
+    test_m)`` run in the decomposition's replicate loop, `decomp._replicate_cells`,
+    sharing each replicate's ``TRAIN``, ``NOISE`` and ``TEST`` draws and one
+    factorization per distinct covariate law; a scenario's rows equal those it
+    gets alone.
     """
     if any(sc.n <= sc.p + 1 for sc in scenarios):
         raise ValueError("criteria study needs n > p + 1")
@@ -206,41 +196,28 @@ def run_criteria_study(scenarios: list[ScenarioConfig], threads: int = 1) -> lis
 
 def _criteria_group(scenarios: list[ScenarioConfig], threads: int) -> list[list[CriteriaMseRow]]:
     """The rows of each scenario, in one loop: they share ``(seed, n, reps, test_m)``."""
-    first = scenarios[0]
-    seed, n, reps, test_m = first.seed, first.n, first.reps, first.test_m
-    laws = [sc.covariates for sc in scenarios]
-    spec = SmootherSpec.least_squares()
+    n, spec = scenarios[0].n, SmootherSpec.least_squares()
 
     def fitted(X: np.ndarray):
         op = _factorize(spec, X)
         return op, op.hat_diag()
 
-    def one_rep(r: int) -> list[tuple[float, ...]]:
-        fits = draw_covariate_laws(laws, n, lambda: stream(seed, r, TRAIN), fitted)
-        tests = draw_covariate_laws(laws, test_m, lambda: stream(seed, r, TEST))
-        eps = stream(seed, r, NOISE).standard_normal(n)
-        out = []
-        for sc in scenarios:
-            try:
-                op, h = next(fits)
-                p, sigma2 = sc.p, sc.noise.sigma2
-                Y = sc.mean.evaluate(op.X) + sc.noise.sigma * eps  # `draw_response`'s Y
-                c = op.solve(Y)
-                resid = Y - op.apply(c)[0]
-                rss = float(resid @ resid)
-                rcp_v = rcp(rss, n, p, sigma2)
-                X0 = next(tests)
-                target = sigma2 + float(np.mean((sc.mean.evaluate(X0) - op.apply(c, X0)[0]) ** 2))
-                out.append((rcp_v, rcp_hat(rss, n, p), gcv(rss, n, p),
-                            rcp_v + bplus_hat(resid, h, sigma2), ocv(resid, h), target))
-            except Exception as exc:
-                raise ReplicateError(r, seed, exc, sc.name) from exc
-            del op, h, X0  # free this cell's fit and test rows before the next cell's are drawn
-        return out
+    def cell(sc: ScenarioConfig, design, test, eps: np.ndarray) -> tuple[float, ...]:
+        (op, h), (X0, fX0) = design, test
+        p, sigma2 = sc.p, sc.noise.sigma2
+        Y = sc.mean.evaluate(op.X) + sc.noise.sigma * eps  # `draw_response`'s Y
+        c = op.solve(Y)
+        resid = Y - op.apply(c)[0]
+        rss = float(resid @ resid)
+        rcp_v = rcp(rss, n, p, sigma2)
+        target = sigma2 + float(np.mean((fX0 - op.apply(c, X0)[0]) ** 2))
+        return (rcp_v, rcp_hat(rss, n, p), gcv(rss, n, p), rcp_v + bplus_hat(resid, h, sigma2),
+                ocv(resid, h), target)
 
     i_ocv = CRITERIA_METHODS.index("OCV")
     rows = []
-    values = np.array(run_replicates(one_rep, reps, threads, seed)).transpose(1, 0, 2)
+    values = _replicate_cells(scenarios, fitted, cell, [None] * len(scenarios),
+                              scenarios[0].test_m, threads, noise=True)
     for sc, out in zip(scenarios, values):
         crit, target = out[:, :-1], out[:, -1:]
         dev = crit - target

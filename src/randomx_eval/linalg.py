@@ -22,11 +22,10 @@ from .errors import NotPositiveDefinite
 PIVOT_RTOL = 1e-10
 
 
-def _cholesky_spd(A: np.ndarray):
-    """Lower Cholesky factor of a symmetric matrix, with pivot screening.
+def _cholesky_spd(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor F of a symmetric matrix A = F F', with pivot screening.
 
-    Returns the ``(c, lower)`` pair that `_cho_solve` and
-    `scipy.linalg.cho_solve` take.
+    Only F's lower triangle is meaningful; `_cho_solve`, `_tri_solve` and `_cho_inverse` take F.
 
     Raises
     ------
@@ -43,25 +42,23 @@ def _cholesky_spd(A: np.ndarray):
         raise NotPositiveDefinite(
             f"Cholesky pivot {pivots.min():.3e} at or below threshold {tol:.3e}"
         )
-    return c, True
+    return c
 
 
-def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
-    """A^-1 b for the ``factor`` of A returned by `_cholesky_spd`; b is a vector or a matrix."""
-    c, lower = factor
-    return dpotrs(c, b, lower=lower)[0]
+def _cho_solve(F: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for the factor F of A returned by `_cholesky_spd`; b is a vector or a matrix."""
+    return dpotrs(F, b, lower=1)[0]
 
 
-def _tri_solve(factor, b: np.ndarray) -> np.ndarray:
-    """F^-1 b for the lower factor F (A = F F') in the ``factor`` returned by `_cholesky_spd`."""
-    return dtrtrs(factor[0], b, lower=factor[1])[0]
+def _tri_solve(F: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F^-1 b for the lower factor F (A = F F') returned by `_cholesky_spd`."""
+    return dtrtrs(F, b, lower=1)[0]
 
 
-def _cho_inverse(factor) -> np.ndarray:
-    """A^-1 written over the ``factor`` of A returned by `_cholesky_spd`: ``dpotri`` fills
-    one triangle and a loop over columns mirrors it, so A^-1 is exactly symmetric."""
-    inv = dpotri(factor[0], lower=factor[1], overwrite_c=1)[0]  # the screened pivots are > 0
-    tri = inv if factor[1] else inv.T  # dpotri wrote the lower triangle of ``tri``
+def _cho_inverse(F: np.ndarray) -> np.ndarray:
+    """A^-1 written over the factor F of A returned by `_cholesky_spd`: ``dpotri`` fills the
+    lower triangle and a loop over columns mirrors it, so A^-1 is exactly symmetric."""
+    inv = dpotri(F, lower=1, overwrite_c=1)[0]  # the screened pivots are > 0
     for j in range(len(inv) - 1):
-        tri[j, j + 1:] = tri[j + 1:, j]
+        inv[j, j + 1:] = inv[j + 1:, j]
     return inv

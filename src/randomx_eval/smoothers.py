@@ -169,7 +169,7 @@ class _Operator:
 
     spec: SmootherSpec
     X: np.ndarray
-    factor: tuple | None = None
+    factor: np.ndarray | None = None
     K: np.ndarray | None = None
     bandwidth: float | None = None
     nbrs: np.ndarray | None = None
@@ -328,7 +328,10 @@ def _sq_distances(X0: np.ndarray, X: np.ndarray) -> np.ndarray:
     B = X - c
     A = B if X0 is X else X0 - c
     d2 = -2.0 * (A @ B.T)
-    d2 += np.add.outer(np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B))
+    a, b = np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B)
+    step = max(1, 2**16 // len(b))  # |a|^2 + |b|^2 in blocks of 64K doubles, not one n x m array
+    for s in range(0, len(a), step):
+        d2[s:s + step] += np.add.outer(a[s:s + step], b)
     return np.maximum(d2, 0.0, out=d2)
 
 

@@ -775,6 +775,13 @@ def test_threads_below_one_is_input_error(tmp_path, capsys, command):
     assert code == 2 and out == "" and err == "error: threads must be >= 1\n"
 
 
+def test_cells_refuse_booleans():
+    # bool is an int, so without the guard a stray True would print as the cell "1"
+    with pytest.raises(TypeError, match="no boolean cells"):
+        cli._fmt(True)
+    assert [cli._fmt(v) for v in (np.int64(3), 0.1, "a")] == ["3", "0.10000000000000001", "a"]
+
+
 def test_module_entry_point_passes_exit_codes_to_the_shell(tmp_path):
     good, _, _ = write_dataset(tmp_path)
     bad = tmp_path / "bad.csv"

@@ -5,9 +5,11 @@ The reference is the difference form ``sum((a - b)^2)`` over the full
 included; kernels and the median bandwidth must match it to rtol 1e-12.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,3 +109,26 @@ def test_gaussian_bandwidth_duplicates_far_from_origin():
     # positive distances 1, 1, 2, 3, 3 (the duplicate pair is left out): median 2
     X = np.array([[0.0], [0.0], [1.0], [3.0]]) + 1e4
     assert gaussian_bandwidth(X) == 2.0
+
+
+@pytest.mark.parametrize("m", [1, 132, 500, 1000])
+def test_sq_distances_add_the_norms_in_blocks(m):
+    # the same additions as adding one m x n array of norm sums, without that array: the
+    # output, one 64K-double block and the centred rows, where the one-shot form peaks
+    # at about twice the output
+    n, p = 500, 50
+    rng = np.random.default_rng(m)
+    X0, X = rng.standard_normal((m, p)), rng.standard_normal((n, p))
+    c = X.mean(axis=0)
+    A, B = X0 - c, X - c
+    one_shot = -2.0 * (A @ B.T) + np.add.outer(np.einsum("ij,ij->i", A, A),
+                                                np.einsum("ij,ij->i", B, B))
+    assert np.array_equal(smoothers._sq_distances(X0, X), np.maximum(one_shot, 0.0))
+    smoothers._sq_distances(X0, X)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        smoothers._sq_distances(X0, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= m * n * 8 + 2**16 * 8 + 3 * (m + n) * p * 8

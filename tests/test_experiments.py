@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from randomx_eval import experiments
+from randomx_eval import decomp, experiments
 from randomx_eval.criteria import bplus_hat, gcv, ocv, rcp, rcp_hat
 from randomx_eval.datagen import (
     NOISE,
@@ -272,7 +272,7 @@ class TestCriteriaGroups:
             factorized.append(X)
             return _factorize(spec, X)
 
-        monkeypatch.setattr(experiments, "stream", counted_stream)
+        monkeypatch.setattr(decomp, "stream", counted_stream)
         monkeypatch.setattr(experiments, "_factorize", counted_factorize)
         scenarios = [small_scenario(covariates=cov, mean=mean, n=100, test_m=200, reps=3)
                      for cov, mean in cells]

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg.lapack import dpotrf
 
 from randomx_eval import linalg
 from randomx_eval.errors import NotPositiveDefinite, RankDeficient
@@ -13,7 +12,7 @@ from randomx_eval.smoothers import SmootherSpec, fit
 
 def solve_spd(A, b):
     """Solve A x = b through `_cholesky_spd`, as every smoother does."""
-    return scipy.linalg.cho_solve(_cholesky_spd(np.asarray(A, dtype=float)), b)
+    return scipy.linalg.cho_solve((_cholesky_spd(np.asarray(A, dtype=float)), True), b)
 
 
 def hat_diagonal(X, ridge=0.0):
@@ -79,14 +78,6 @@ class TestChoInverse:
         assert np.array_equal(inv, inv.T)
         ref = np.linalg.inv(A)
         assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_upper_factor_mirrors_the_other_triangle(self):
-        rng = np.random.default_rng(4)
-        M = rng.standard_normal((9, 12))
-        A = M @ M.T + np.eye(9)
-        inv = _cho_inverse((dpotrf(A, lower=0, clean=0)[0], False))
-        assert np.array_equal(inv, inv.T)
-        np.testing.assert_allclose(inv @ A, np.eye(9), atol=1e-12)
 
     def test_rejected_matrix_forms_no_inverse(self, monkeypatch):
         inverted = []

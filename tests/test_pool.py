@@ -110,3 +110,17 @@ def test_runs_when_no_library_is_found(monkeypatch):
     assert run_replicates(lambda r: r * r, 4, 2, 0) == [0, 1, 4, 9]
     assert counts() == [2, 2]
     assert blas_threads(in_loop=True) is None
+
+
+@pytest.mark.parametrize("field, value", [(0, "no_such_package"), (2, "no_such_library_*.so")],
+                         ids=["package", "library"])
+def test_a_library_that_cannot_load_is_skipped(monkeypatch, field, value):
+    # numpy's row twice, one copy broken: the broken one is skipped and the other kept
+    row = _pool._OPENBLAS[0]
+    monkeypatch.setattr(_pool, "_OPENBLAS", (row[:field] + (value,) + row[field + 1:], row))
+    _blas_pools.cache_clear()
+    try:
+        pools = _blas_pools()
+    finally:
+        _blas_pools.cache_clear()
+    assert len(pools) == 1 and pools[0][0]() == counts()[0]
