@@ -81,7 +81,7 @@ def bundled_config_path(name: str) -> str:
 
 def _fmt(value) -> str:
     """Cells: floats at 17 significant digits, ints plain, strings as-is."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         raise TypeError("no boolean cells")
     if isinstance(value, (int, np.integer)):
         return str(int(value))

@@ -218,8 +218,10 @@ def criteria_report(fitted: FittedSmoother, sigma2: float | None = None) -> Crit
     squares, the fit's ``trace_S`` for ridge.  ``rcp`` adds the least
     squares excess variance ``vplus_normal_exact(n, p, sigma2)`` to ``cp``
     and ``rcp_hat`` is the least squares formula, both with p = number of
-    design columns.  Requires n > p + 1.
+    design columns.  Requires n > p + 1; a kNN or kernel ridge fit is a `ValueError`.
     """
+    if fitted.spec.variant not in ("least_squares", "ridge"):
+        raise ValueError(f"criteria_report needs least squares or ridge, got {fitted.spec.variant}")
     n, p = fitted.n, fitted.p
     df = fitted.trace_S if fitted.spec.variant == "ridge" else p
     r = fitted.residuals

@@ -18,9 +18,9 @@ The moments are therefore generic in L: the squared bias mean((L f - f)^2)
 and the variance sigma^2 ||L||_F^2 / rows, at X (Same-X) and at X0
 (Random-X), all read from the one smoother operator.
 
-For least squares and ridge, wherever `datagen.x0_moments` covers the law
-and mean, x0 is integrated out exactly (`_Operator.integrate`) and a
-replicate draws X alone; otherwise it samples an n-row X0.
+`_Operator.integrate` averages the Random-X moments over x0: for least
+squares and ridge, wherever `datagen.x0_moments` covers the law and mean,
+exactly, and a replicate draws X alone; otherwise over a sampled n-row X0.
 
 Excess terms are averaged as per-replicate *paired* differences (Random-X
 moment minus Same-X moment on the same draw), which is what their standard
@@ -39,7 +39,8 @@ import numpy as np
 
 from ._pool import run_replicates
 from .criteria import _check_resid, _check_sigma2
-from .datagen import NOISE, TEST, TRAIN, X0Moments, draw_covariate_laws, stream, x0_moments
+from .datagen import (NOISE, TEST, TRAIN, X0Moments, _derivation, draw_covariate_laws, stream,
+                      x0_moments)
 from .errors import ReplicateError
 from .smoothers import SmootherSpec, _as_xy, _factorize, _Operator
 
@@ -102,14 +103,10 @@ def _conditional_moments(op: _Operator, fX: np.ndarray, sigma2: float,
     c = op.solve(fX)
     fit_s, var_s = op.apply(c, None, sigma2)
     bias_s = float(np.mean((fit_s - fX) ** 2))
-    if isinstance(test, X0Moments):
-        bias_r, var_r = op.integrate(c, test, sigma2)
-        if op.spec.lam == 0.0 and test.e_perp == 0.0:  # f = x' beta*, which least squares fits
-            bias_s = bias_r = 0.0
-        return ConditionalMoments(bias_s, var_s, bias_r, var_r)
-    X0, fX0 = test
-    fit_r, var_r = op.apply(c, X0, sigma2)
-    return ConditionalMoments(bias_s, var_s, float(np.mean((fit_r - fX0) ** 2)), var_r)
+    bias_r, var_r = op.integrate(c, test, sigma2)
+    if isinstance(test, X0Moments) and op.spec.lam == 0.0 and test.e_perp == 0.0:
+        bias_s = bias_r = 0.0  # f = x' beta*, which least squares fits
+    return ConditionalMoments(bias_s, var_s, bias_r, var_r)
 
 
 # --------------------------------------------------------------------------
@@ -162,59 +159,72 @@ def estimate_decomposition(
     return _estimate_group([scenario], smoother, threads)[0]
 
 
-def _replicate_cells(scenarios: "list[ScenarioConfig]", fitted, cell, moments: list, test_m: int,
-                     threads: int, noise: bool = False) -> np.ndarray:
-    """``cell`` of each scenario in each replicate, in one loop: they share ``(seed, n, reps)``.
+def _replicate_cells(scenarios: "list[ScenarioConfig]", fitted, cell, fresh: list, threads: int,
+                     noise: bool = False) -> list[np.ndarray]:
+    """``cell`` of each scenario in each replicate, one loop per ``(seed, n, reps)``.
 
-    Replicate r draws the cells' ``TRAIN`` rows with ``fitted`` applied once per distinct law,
-    ``test_m`` ``TEST`` rows for each cell whose ``moments`` entry is None, and one ``NOISE``
-    n-vector ``eps`` if ``noise``, all through `draw_covariate_laws` and `stream`.  It calls
-    ``cell(sc, fit, test, eps)``, ``test`` the cell's `X0Moments` or ``(X0, f(X0))``, and frees
-    each cell's fit and rows before the next cell's are made; a failing cell is named in the
-    `ReplicateError`.  Returns the (cells, reps, k) array of the k numbers ``cell`` returns.
+    ``fresh`` holds each cell's fresh rows: its `X0Moments` or the number of rows to sample.  A
+    loop takes its cells in derivation order (fewest `datagen._derivation` steps first); its
+    replicate r draws their ``TRAIN`` rows with ``fitted`` applied once per distinct law, each
+    distinct count of ``TEST`` rows, and one ``NOISE`` n-vector ``eps`` if ``noise``, all through
+    `draw_covariate_laws` and `stream`, and calls ``cell(sc, fit, test, eps)``, ``test`` the
+    cell's `X0Moments` or ``(X0, f(X0))``.  Each cell's fit and rows are freed before the next
+    cell's are made, so a count holds at most two test matrices at once; a failing cell is named
+    in the `ReplicateError`.  Returns each scenario's (reps, k) array of the k numbers ``cell``
+    returns, in input order; each equals that of the scenario run alone.
     """
-    seed, n, reps = scenarios[0].seed, scenarios[0].n, scenarios[0].reps
-    sampled = [sc.covariates for sc, m in zip(scenarios, moments) if m is None]
+    loops = {}
+    for i, sc in sorted(enumerate(scenarios), key=lambda e: len(_derivation(e[1].covariates, 1))):
+        loops.setdefault((sc.seed, sc.n, sc.reps), []).append((i, sc, fresh[i]))
+    out = [None] * len(scenarios)
+    for (seed, n, reps), cells in loops.items():
+        sampled = {}  # row count -> the laws sampled at it, in the loop's order
+        for _, sc, m in cells:
+            if not isinstance(m, X0Moments):
+                sampled.setdefault(m, []).append(sc.covariates)
 
-    def one_rep(r: int) -> list:
-        fits = draw_covariate_laws([sc.covariates for sc in scenarios], n,
-                                   lambda: stream(seed, r, TRAIN), fitted)
-        X0s = draw_covariate_laws(sampled, test_m, lambda: stream(seed, r, TEST))
-        eps = stream(seed, r, NOISE).standard_normal(n) if noise else None
-        out = []
-        for sc, test in zip(scenarios, moments):
-            try:
-                fit = next(fits)
-                if test is None:
-                    test = next(X0s)
-                    test = (test, sc.mean.evaluate(test))
-                out.append(cell(sc, fit, test, eps))
-            except Exception as exc:
-                raise ReplicateError(r, seed, exc, sc.name) from exc
-            del fit, test  # free this cell's fit and rows before the next cell's are made
-        return out
+        def one_rep(r: int) -> list:
+            fits = draw_covariate_laws([sc.covariates for _, sc, _ in cells], n,
+                                       lambda: stream(seed, r, TRAIN), fitted)
+            X0s = {m: draw_covariate_laws(laws, m, lambda: stream(seed, r, TEST))
+                   for m, laws in sampled.items()}
+            eps = stream(seed, r, NOISE).standard_normal(n) if noise else None
+            row = []
+            for _, sc, test in cells:
+                try:
+                    fit = next(fits)
+                    if not isinstance(test, X0Moments):
+                        test = next(X0s[test])
+                        test = (test, sc.mean.evaluate(test))
+                    row.append(cell(sc, fit, test, eps))
+                except Exception as exc:
+                    raise ReplicateError(r, seed, exc, sc.name) from exc
+                del fit, test  # free this cell's fit and rows before the next cell's are made
+            return row
 
-    return np.array(run_replicates(one_rep, reps, threads, seed)).transpose(1, 0, 2)
+        values = np.array(run_replicates(one_rep, reps, threads, seed))
+        for j, (i, _, _) in enumerate(cells):
+            out[i] = values[:, j]
+    return out
 
 
 def _estimate_group(scenarios: "list[ScenarioConfig]", smoother: SmootherSpec,
                     threads: int) -> list[DecompositionEstimate]:
-    """`estimate_decomposition` of each scenario, in one loop: they share ``(seed, n, reps)``."""
-    reps = scenarios[0].reps
+    """`estimate_decomposition` of each scenario, cells sharing ``(seed, n, reps)`` in one loop."""
     exact = smoother.variant in ("least_squares", "ridge")
     moments = [x0_moments(sc.covariates, sc.mean) if exact else None for sc in scenarios]
 
     def cell(sc: "ScenarioConfig", op: _Operator, test, eps) -> ConditionalMoments:
         return _conditional_moments(op, sc.mean.evaluate(op.X), sc.noise.sigma2, test)
 
-    cells = _replicate_cells(scenarios, lambda X: _factorize(smoother, X), cell, moments,
-                             scenarios[0].n, threads)
+    fresh = [sc.n if m is None else m for sc, m in zip(scenarios, moments)]  # else n sampled rows
+    cells = _replicate_cells(scenarios, lambda X: _factorize(smoother, X), cell, fresh, threads)
 
     def se(x: np.ndarray) -> float:
-        return float(np.std(x, ddof=1) / np.sqrt(reps))
+        return float(np.std(x, ddof=1) / np.sqrt(len(x)))
 
     estimates = []
-    for sc, (bias_s, var_s, bias_r, var_r) in zip(scenarios, cells.transpose(0, 2, 1)):
+    for sc, (bias_s, var_s, bias_r, var_r) in zip(scenarios, (values.T for values in cells)):
         sigma2 = sc.noise.sigma2
         B = float(np.mean(bias_s))
         V = float(np.mean(var_s))
@@ -236,7 +246,7 @@ def _estimate_group(scenarios: "list[ScenarioConfig]", smoother: SmootherSpec,
             err_r=err_s + Bplus + Vplus,
             se_err_r=se(bias_r + var_r),
             se_gap=se((bias_r + var_r) - (bias_s + var_s)),
-            reps=reps,
+            reps=sc.reps,
         ))
     return estimates
 

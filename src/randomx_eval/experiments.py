@@ -38,8 +38,7 @@ import numpy as np
 
 from ._pool import run_replicates
 from .criteria import _check_sigma2, bplus_hat, gcv, ocv, rcp, rcp_hat
-from .datagen import (TRAIN, CovariateModel, MeanModel, NoiseModel, _derivation, draw_covariates,
-                      stream)
+from .datagen import TRAIN, CovariateModel, MeanModel, NoiseModel, draw_covariates, stream
 from .decomp import DecompositionEstimate, _estimate_group, _replicate_cells
 from .smoothers import FittedSmoother, SmootherSpec, _factorize, predict
 
@@ -68,11 +67,10 @@ CRITERIA_METHODS = ("RCp", "RCpHat", "GCV", "RCpPlus", "OCV")
 class ScenarioConfig:
     """One simulation cell: covariate law, mean, noise, and sizes.
 
-    ``test_m`` is the fresh-test-set size used for the criteria study's
-    target; ``reps`` the replicate count; ``seed`` the master seed all
-    per-replicate streams derive from.  A ``linear_beta`` mean needs a beta
-    of length p.  Cells that share ``(seed, n, reps)``, and for the criteria
-    study also ``test_m``, run in one replicate loop.
+    ``test_m`` is the fresh-test-set size used for the criteria study's target; ``reps`` the
+    replicate count; ``seed`` the master seed all per-replicate streams derive from.  A
+    ``linear_beta`` mean needs a beta of length p.  Cells that share ``(seed, n, reps)`` run in
+    one replicate loop, whatever their ``test_m``.
     """
 
     covariates: CovariateModel
@@ -111,17 +109,6 @@ def err_r_target(
     return sigma2 + float(np.mean((f_test - pred) ** 2))
 
 
-def _by_group(scenarios: list[ScenarioConfig], key, run_group) -> list:
-    """``run_group`` of each group of scenarios with one ``key``, its cells in derivation order
-    (fewest `datagen._derivation` steps first); the results in the scenarios' order."""
-    out = {}
-    for k in dict.fromkeys(map(key, scenarios)):
-        group = sorted((i for i, sc in enumerate(scenarios) if key(sc) == k),
-                       key=lambda i: len(_derivation(scenarios[i].covariates, 1)))
-        out.update(zip(group, run_group([scenarios[i] for i in group])))
-    return [out[i] for i in range(len(scenarios))]
-
-
 # --------------------------------------------------------------------------
 # decomposition study
 # --------------------------------------------------------------------------
@@ -138,8 +125,7 @@ def run_decomposition_study(
     covariate law; a scenario's numbers equal those of `estimate_decomposition` run on it alone.
     """
     smoother = smoother or SmootherSpec.least_squares()
-    return list(zip(scenarios, _by_group(scenarios, lambda sc: (sc.seed, sc.n, sc.reps),
-                                         lambda group: _estimate_group(group, smoother, threads))))
+    return list(zip(scenarios, _estimate_group(scenarios, smoother, threads)))
 
 
 # --------------------------------------------------------------------------
@@ -181,43 +167,35 @@ def run_criteria_study(scenarios: list[ScenarioConfig], threads: int = 1) -> lis
     errR_rep, because RSS is independent of the noise in the fitted
     coefficients that makes most of that variance.
 
-    Rows come in the scenarios' order.  Scenarios that share ``(seed, n, reps,
-    test_m)`` run in the decomposition's replicate loop, `decomp._replicate_cells`,
-    sharing each replicate's ``TRAIN``, ``NOISE`` and ``TEST`` draws and one
-    factorization per distinct covariate law; a scenario's rows equal those it
-    gets alone.
+    Rows come in the scenarios' order.  Scenarios that share ``(seed, n, reps)``
+    run in the decomposition's replicate loop, `decomp._replicate_cells`,
+    sharing each replicate's ``TRAIN`` and ``NOISE`` draws, its ``TEST`` draw
+    per distinct ``test_m``, and one factorization per distinct covariate law; a
+    scenario's rows equal those it gets alone.
     """
     if any(sc.n <= sc.p + 1 for sc in scenarios):
         raise ValueError("criteria study needs n > p + 1")
-    cells = _by_group(scenarios, lambda sc: (sc.seed, sc.n, sc.reps, sc.test_m),
-                      lambda group: _criteria_group(group, threads))
-    return [row for rows in cells for row in rows]
-
-
-def _criteria_group(scenarios: list[ScenarioConfig], threads: int) -> list[list[CriteriaMseRow]]:
-    """The rows of each scenario, in one loop: they share ``(seed, n, reps, test_m)``."""
-    n, spec = scenarios[0].n, SmootherSpec.least_squares()
 
     def fitted(X: np.ndarray):
-        op = _factorize(spec, X)
+        op = _factorize(SmootherSpec.least_squares(), X)
         return op, op.hat_diag()
 
     def cell(sc: ScenarioConfig, design, test, eps: np.ndarray) -> tuple[float, ...]:
-        (op, h), (X0, fX0) = design, test
-        p, sigma2 = sc.p, sc.noise.sigma2
+        op, h = design
+        n, p, sigma2 = sc.n, sc.p, sc.noise.sigma2
         Y = sc.mean.evaluate(op.X) + sc.noise.sigma * eps  # `draw_response`'s Y
         c = op.solve(Y)
         resid = Y - op.apply(c)[0]
         rss = float(resid @ resid)
         rcp_v = rcp(rss, n, p, sigma2)
-        target = sigma2 + float(np.mean((fX0 - op.apply(c, X0)[0]) ** 2))
+        target = sigma2 + op.integrate(c, test)[0]
         return (rcp_v, rcp_hat(rss, n, p), gcv(rss, n, p), rcp_v + bplus_hat(resid, h, sigma2),
                 ocv(resid, h), target)
 
     i_ocv = CRITERIA_METHODS.index("OCV")
     rows = []
-    values = _replicate_cells(scenarios, fitted, cell, [None] * len(scenarios),
-                              scenarios[0].test_m, threads, noise=True)
+    values = _replicate_cells(scenarios, fitted, cell, [sc.test_m for sc in scenarios], threads,
+                              noise=True)
     for sc, out in zip(scenarios, values):
         crit, target = out[:, :-1], out[:, -1:]
         dev = crit - target
@@ -225,7 +203,7 @@ def _criteria_group(scenarios: list[ScenarioConfig], threads: int) -> list[list[
         bias = np.mean(dev, axis=0)
         variance = mse - bias**2
         mse_err_r = np.mean((crit - target.mean()) ** 2, axis=0)
-        rows.append([
+        rows.extend(
             CriteriaMseRow(
                 scenario=sc.name,
                 method=method,
@@ -237,7 +215,7 @@ def _criteria_group(scenarios: list[ScenarioConfig], threads: int) -> list[list[
                 rel_to_ocv_err_r=float(mse_err_r[i] / mse_err_r[i_ocv]),
             )
             for i, method in enumerate(CRITERIA_METHODS)
-        ])
+        )
     return rows
 
 

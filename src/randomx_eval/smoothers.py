@@ -12,9 +12,10 @@ search (kNN) — and returns the operator that everything else is read from:
                             each query row's k neighbors; given ``sigma2``
                             also the mean noise variance sigma2 ||L(X0)||_F^2 / m;
 ``hat_diag()``              the diagonal of L(X);
-``integrate(c, m, sigma2)`` least squares and ridge: the squared bias and the
-                            variance of L(x0) y averaged over a fresh row x0,
-                            from its moments m (`datagen.x0_moments`).
+``integrate(c, t, sigma2)`` the squared bias and, given ``sigma2``, the variance
+                            of L(x0) y over a fresh row x0: the mean over rows
+                            t = (X0, f(X0)), or exact from x0's moments t
+                            (`datagen.x0_moments`; least squares, ridge).
 
 `fit` and `predict` here, and the conditional moments and the conditional
 OCV split in `decomp`, are all derived from it.  Two variances are exact
@@ -214,15 +215,23 @@ class _Operator:
             sq = np.sum(XW * XW)
         return out, sigma2 / len(B) * float(sq)
 
-    def integrate(self, c: np.ndarray, moments, sigma2: float) -> tuple[float, float]:
-        """``(E (c'x0 - f(x0))^2, sigma2 E|L(x0)|^2)`` over a fresh row x0 with ``moments``.
+    def integrate(self, c: np.ndarray, t, sigma2: float | None = None):
+        """``(E (L(x0) y - f(x0))^2, sigma2 E|L(x0)|^2)`` over a fresh row x0, for c = solve(y).
 
-        They are |R'(c - beta*)|^2 + e_perp and sigma2 tr(A^-1 X'X A^-1 R R'): sigma2 times
-        |F^-1 R|_F^2 for least squares (A = F F'), |X A^-1 R|_F^2 for ridge."""
-        R, F = moments.root, self.factor
-        d = R.T @ (c - moments.beta)
+        ``t`` is rows ``(X0, f(X0))`` to average over, or x0's moments (least squares, ridge):
+        |R'(c - beta*)|^2 + e_perp and sigma2 tr(A^-1 X'X A^-1 R R'), sigma2 |F^-1 R|_F^2 for
+        least squares (A = F F'), sigma2 |X A^-1 R|_F^2 for ridge.  As in ``apply``, the
+        variance is ``None`` unless ``sigma2`` is given."""
+        if isinstance(t, tuple):
+            fit, var = self.apply(c, t[0], sigma2)
+            return float(np.mean((fit - t[1]) ** 2)), var
+        R, F = t.root, self.factor
+        d = R.T @ (c - t.beta)
+        bias = float(d @ d) + t.e_perp
+        if sigma2 is None:
+            return bias, None
         W = _tri_solve(F, R) if self.spec.lam == 0.0 else self.X @ _cho_solve(F, R)
-        return float(d @ d) + moments.e_perp, sigma2 * float(np.sum(W * W))
+        return bias, sigma2 * float(np.sum(W * W))
 
     def hat_diag(self) -> np.ndarray:
         """The diagonal of L(X), with the round-off below 0 clipped."""

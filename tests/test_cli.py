@@ -717,7 +717,7 @@ def _config_with(tmp_path, model, spec):
 class TestModelFields:
     def test_readme_table_matches_the_code(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
-        table = {model: {} for model in MODELS}
+        table, rows = {model: {} for model in MODELS}, []
         for line in readme.read_text(encoding="utf-8").splitlines():
             cells = [c.strip() for c in line.strip().strip("|").split("|")]
             if len(cells) == 3 and cells[0].strip("`") in MODELS:
@@ -725,7 +725,9 @@ class TestModelFields:
                 for item in filter(None, cells[2].split(",")):
                     key, kind = item.split()
                     fields[key.strip("`")] = kind.strip("()")
-                table[cells[0].strip("`")][cells[1].strip("`")] = fields
+                rows.append((cells[0].strip("`"), cells[1].strip("`")))
+                table[rows[-1][0]][rows[-1][1]] = fields
+        assert len(rows) == len(set(rows))  # a variant listed twice would hide its first row
         code = {model: {variant: {key: JSON_KINDS[kind] for key, kind in reads.items()}
                         for variant, reads in cls.FIELDS.items()}
                 for model, cls in MODELS.items()}
@@ -777,8 +779,9 @@ def test_threads_below_one_is_input_error(tmp_path, capsys, command):
 
 def test_cells_refuse_booleans():
     # bool is an int, so without the guard a stray True would print as the cell "1"
-    with pytest.raises(TypeError, match="no boolean cells"):
-        cli._fmt(True)
+    for value in (True, np.True_):
+        with pytest.raises(TypeError, match="no boolean cells"):
+            cli._fmt(value)
     assert [cli._fmt(v) for v in (np.int64(3), 0.1, "a")] == ["3", "0.10000000000000001", "a"]
 
 

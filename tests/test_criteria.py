@@ -283,6 +283,20 @@ class TestOptimismAndReport:
         assert rep.rcp == rep.cp + vplus_normal_exact(n, p, 1.0)
         assert rep.rcp_plus == rep.rcp + rep.bplus_hat
 
+    @pytest.mark.parametrize("spec", [SmootherSpec.knn(5), SmootherSpec.kernel_ridge(1.0)],
+                             ids=["knn", "kernel_ridge"])
+    def test_report_refuses_fits_without_a_trace(self, spec):
+        # df = p = 3 in place of tr(S) (8.0 for this kNN, 5.8 for this kernel ridge) would
+        # understate GCV: 1.34 against 1.79, and 1.25 against 1.46
+        rng = np.random.default_rng(42)
+        X = rng.standard_normal((40, 3))
+        m = fit(spec, X, X.sum(axis=1) + rng.standard_normal(40))
+        assert m.trace_S > 5.0
+        with pytest.raises(ValueError, match=spec.variant):
+            criteria_report(m)
+        with pytest.raises(ValueError, match=spec.variant):
+            criteria_report(m, sigma2=1.0)
+
     def test_report_with_and_without_sigma2(self):
         rng = np.random.default_rng(39)
         X = rng.standard_normal((30, 4))

@@ -348,6 +348,19 @@ class TestEstimateDecomposition:
         assert estimate_decomposition(ok, SmootherSpec.least_squares()).reps == 5
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_cells_of_any_seed_n_and_reps_equal_cells_run_alone(self, threads):
+        # one loop per (seed, n, reps), each with its own TRAIN and TEST draws
+        base = _scenario(covariates=CovariateModel.normal_block(4, 2, 0.7),
+                         mean=MeanModel.abs_sum(0.75), n=20, reps=4, name="base")
+        scenarios = [base, replace(base, seed=9, name="seed"), replace(base, n=24, name="n"),
+                     replace(base, reps=3, name="reps"),
+                     replace(base, covariates=CovariateModel.scaled_product(4, "uniform"), n=24,
+                             name="sampled")]
+        for spec in (SmootherSpec.least_squares(), SmootherSpec.knn(3)):
+            alone = [estimate_decomposition(sc, spec) for sc in scenarios]
+            assert decomp._estimate_group(scenarios, spec, threads) == alone
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_lowest_failing_replicate_reported_at_any_thread_count(self, threads):
         def fn(r):
             if r == 0:
@@ -417,6 +430,7 @@ def test_integrate_matches_apply_over_sampled_x0(law):
             op = _factorize(spec, X)
             c = op.solve(fX)
             exact = op.integrate(c, moments, 2.0)
+            assert op.integrate(c, moments) == (exact[0], None)  # the bias alone without sigma2
             per = []
             for rows in np.split(np.arange(len(X0)), 50):
                 fit_r, var_r = op.apply(c, X0[rows], 2.0)
@@ -424,6 +438,22 @@ def test_integrate_matches_apply_over_sampled_x0(law):
             per = np.array(per)
             sampled, se = per.mean(axis=0), per.std(axis=0, ddof=1) / np.sqrt(len(per))
             assert np.all(np.abs(exact - sampled) <= 4 * se + 1e-12), (law, mean.variant, spec.variant)
+
+
+@pytest.mark.parametrize("spec", [SmootherSpec.least_squares(), SmootherSpec.ridge(3.0),
+                                  SmootherSpec.kernel_ridge(1.0), SmootherSpec.knn(3)],
+                         ids=["ls", "ridge", "kernel_ridge", "knn"])
+def test_integrate_over_sampled_rows_is_the_mean_over_them(spec):
+    cov, mean = LAWS["normal_block"], MeanModel.abs_sum(0.75)
+    X = draw_covariates(cov, 30, stream(72, 0, TRAIN))
+    X0 = draw_covariates(cov, 200, stream(72, 0, TEST))
+    fX0 = mean.evaluate(X0)
+    op = _factorize(spec, X)
+    c = op.solve(mean.evaluate(X))
+    fit_r, var_r = op.apply(c, X0, 2.0)
+    bias_r = float(np.mean((fit_r - fX0) ** 2))
+    assert op.integrate(c, (X0, fX0), 2.0) == (bias_r, var_r)
+    assert op.integrate(c, (X0, fX0)) == (bias_r, None)
 
 
 def test_exact_bias_of_a_linear_mean_is_rounding_and_nonnegative():

@@ -281,6 +281,30 @@ class TestCriteriaGroups:
         assert len(factorized) == 3 * designs
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_cells_that_differ_only_in_test_m_share_one_loop(self, monkeypatch, threads):
+        # one TRAIN and one NOISE stream and one factorization per replicate, a TEST stream
+        # per row count; each cell's rows equal those it gets alone
+        purposes, factorized = [], []
+
+        def counted_stream(seed, r, purpose):
+            purposes.append(purpose)
+            return stream(seed, r, purpose)
+
+        def counted_factorize(spec, X):
+            factorized.append(X)
+            return _factorize(spec, X)
+
+        a = small_scenario(covariates=CovariateModel.normal_block(4, 2, 0.7), n=20, reps=4,
+                           test_m=50, name="a")
+        b = replace(a, test_m=70, name="b")
+        alone = run_criteria_study([a]) + run_criteria_study([b])
+        monkeypatch.setattr(decomp, "stream", counted_stream)
+        monkeypatch.setattr(experiments, "_factorize", counted_factorize)
+        assert run_criteria_study([a, b], threads=threads) == alone
+        assert sorted(purposes) == [TRAIN] * 4 + [NOISE] * 4 + [TEST] * 8
+        assert len(factorized) == 4
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_failing_cell_of_a_group_is_named(self, threads):
         ok = small_scenario(covariates=CovariateModel.isotropic(4), n=10, reps=5, seed=77, name="ok")
         singular = replace(ok, name="singular", covariates=CovariateModel.scaled_product(
