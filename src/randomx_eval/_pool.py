@@ -4,57 +4,50 @@ Replicate ``r`` must derive all randomness from its own index (plus the master
 seed), and results are always collected in replicate order, so the output is
 byte-identical whatever ``threads`` is.
 
-A replicate makes many small BLAS calls (a p x p Gram matrix, its Cholesky,
-one product with the test rows), and OpenBLAS's own thread pool costs more
-than it saves on them.  For the length of the loop the runner therefore sets
-both OpenBLAS pools, numpy's and scipy's, to one thread, and restores their
-counts afterwards, also when a replicate fails.  It leaves BLAS alone when
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, and when a library or
-its thread controls cannot be found.  Code outside a replicate loop, such as
-the ``eval`` command's one large fit, keeps the libraries' own threading.
+A replicate makes many small BLAS calls (a p x p Gram matrix, its Cholesky
+and inverse, one product with the test rows), and OpenBLAS's own thread pool
+costs more than it saves on them.  Every BLAS and LAPACK call the package
+makes goes to the OpenBLAS numpy links (`linalg` binds its LAPACK), so there
+is one pool.  For the length of the loop the runner sets it to one thread,
+through the thread controls of the same library handle `linalg` opens, and
+restores its count afterwards, also when a replicate fails.  It leaves BLAS
+alone when ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, and when
+the thread controls cannot be found.  Code outside a replicate loop, such as
+the ``eval`` command's one large fit, keeps OpenBLAS's own threading.
 """
 
 from __future__ import annotations
 
 import ctypes
-import importlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
 from .errors import ReplicateError
+from .linalg import _BLAS
 
 T = TypeVar("T")
 
 #: Variables through which the user sets BLAS threading; either one wins.
 USER_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# (package, library directory beside it, library glob, thread-control symbol)
-_OPENBLAS = (
-    ("numpy", "numpy.libs", "libscipy_openblas64_*.so", "scipy_openblas_{}_num_threads64_"),
-    ("scipy", "scipy.libs", "libscipy_openblas*.so", "scipy_openblas_{}_num_threads"),
-)
+#: Thread controls of the OpenBLAS bundled with numpy.
+_THREAD_CONTROLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
 
 @lru_cache(maxsize=None)
 def _blas_pools() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """``(get, set)`` thread controls of the OpenBLAS builds bundled with numpy and scipy."""
-    pools = []
-    for package, libdir, pattern, symbol in _OPENBLAS:
-        try:
-            site = Path(importlib.import_module(package).__file__).parent.parent
-            lib = ctypes.CDLL(str(sorted((site / libdir).glob(pattern))[0]))
-            get, set_ = getattr(lib, symbol.format("get")), getattr(lib, symbol.format("set"))
-        except (ImportError, TypeError, IndexError, OSError, AttributeError):
-            continue
-        get.restype, get.argtypes = ctypes.c_int, []
-        set_.restype, set_.argtypes = None, [ctypes.c_int]
-        pools.append((get, set_))
-    return tuple(pools)
+    """``(get, set)`` thread controls of numpy's OpenBLAS, or none if they cannot be found."""
+    try:
+        get, set_ = (getattr(_BLAS, symbol) for symbol in _THREAD_CONTROLS)
+    except AttributeError:
+        return ()
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return ((get, set_),)
 
 
 def _user_blas_threads() -> int | str | None:
@@ -69,8 +62,8 @@ def blas_threads(*, in_loop: bool) -> int | str | None:
     """BLAS threads in force: inside a replicate loop, or else outside one.
 
     The user's ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` when set; else 1
-    inside a loop and the libraries' own count outside one; None when no
-    OpenBLAS thread control was found.
+    inside a loop and OpenBLAS's own count outside one; None when its thread
+    controls were not found.
     """
     user = _user_blas_threads()
     if user is not None:
@@ -88,7 +81,7 @@ _saved_counts: list[int] = []
 
 @contextmanager
 def _single_threaded_blas() -> Iterator[None]:
-    """Pin the BLAS pools to one thread; nested and concurrent loops share one pin."""
+    """Pin the BLAS pool to one thread; nested and concurrent loops share one pin."""
     global _pin_depth
     pools = () if _user_blas_threads() is not None else _blas_pools()
     if not pools:

@@ -36,7 +36,6 @@ import functools
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError
 
@@ -210,7 +209,7 @@ def _derivation(model: CovariateModel, n: int) -> list:
     key += (model.blocks, model.rho)
     steps.append((key, lambda Z: Z @ L.T))
     if model.variant != "normal_block":
-        from scipy.special import ndtr  # on first use: importing it costs about 65 ms
+        from scipy.special import ndtr  # on first use: importing it costs about 280 ms
         steps.append((key + ("ndtr",), ndtr))
     if model.variant == "copula_t4":
         steps.append((key + ("ndtr", "t4"), quantile_t4))
@@ -374,9 +373,7 @@ def _t4_pair_moments(rho: float, nodes: int = 64, top: float = 12.0) -> tuple[fl
     kink at 0 ends each rule.  Doubling ``nodes`` moves both by < 1e-14 for rho <= 0.99.
     """
     from scipy.special import ndtr
-    k = np.arange(1.0, nodes)  # Golub-Welsch: the rule's nodes and weights from the Jacobi matrix
-    x, V = eigh_tridiagonal(np.zeros(nodes), k / np.sqrt(4.0 * k * k - 1.0))
-    w = 2.0 * V[0] ** 2
+    x, w = np.polynomial.legendre.leggauss(nodes)
     z, wz = top / 2.0 * (x + 1.0), top / 2.0 * w
 
     def a(v: np.ndarray) -> np.ndarray:

@@ -99,13 +99,15 @@ def conditional_moments(
 
 def _conditional_moments(op: _Operator, fX: np.ndarray, sigma2: float,
                          test: tuple[np.ndarray, np.ndarray] | X0Moments) -> ConditionalMoments:
-    """`conditional_moments` unchecked, on X's operator; ``test`` is (X0, f(X0)) or `X0Moments`."""
-    c = op.solve(fX)
+    """`conditional_moments` unchecked, on X's operator; ``test`` is (X0, f(X0)) or `X0Moments`.
+
+    Where f = x' beta* (``e_perp`` 0), least squares fits f exactly: c is beta*, unsolved, and
+    both biases are 0; the variances do not read c."""
+    exact = isinstance(test, X0Moments) and op.spec.lam == 0.0 and test.e_perp == 0.0
+    c = test.beta if exact else op.solve(fX)
     fit_s, var_s = op.apply(c, None, sigma2)
-    bias_s = float(np.mean((fit_s - fX) ** 2))
-    bias_r, var_r = op.integrate(c, test, sigma2)
-    if isinstance(test, X0Moments) and op.spec.lam == 0.0 and test.e_perp == 0.0:
-        bias_s = bias_r = 0.0  # f = x' beta*, which least squares fits
+    bias_s = 0.0 if exact else float(np.mean((fit_s - fX) ** 2))
+    bias_r, var_r = op.integrate(c, test, sigma2)  # at c = beta*, bias_r is 0
     return ConditionalMoments(bias_s, var_s, bias_r, var_r)
 
 

@@ -3,9 +3,10 @@
 Every smoother here is linear in the response: its prediction at query rows
 X0 is L(X0) Y, for a weight matrix L that depends only on the training rows
 X and on X0.  `_factorize(spec, X)` does the one costly step per training
-design — the Cholesky factor of A = X'X + lam I (least squares, ridge),
-the inverse of A = K + lam I (kernel ridge), or the in-sample neighbor
-search (kNN) — and returns the operator that everything else is read from:
+design — the inverse of A = X'X + lam I (least squares, ridge) or of
+A = K + lam I (kernel ridge), from one Cholesky factorization, or the
+in-sample neighbor search (kNN) — and returns the operator that everything
+else is read from:
 
 ``solve(y)``                weights c of y: A^-1 X'y, A^-1 y, or y itself (kNN);
 ``apply(c, X0, sigma2)``    L(X0) y = X0 c, k(X0, X) c, or the mean of c over
@@ -48,7 +49,7 @@ import numpy as np
 
 from .datagen import _check_variant
 from .errors import DegenerateNeighbors, NotPositiveDefinite, RankDeficient
-from .linalg import _cho_inverse, _cho_solve, _cholesky_spd, _tri_solve
+from .linalg import _cho_inverse, _cholesky_spd
 
 __all__ = [
     "SmootherSpec",
@@ -161,16 +162,16 @@ def _as_xy(X, Y) -> tuple[np.ndarray, np.ndarray]:
 class _Operator:
     """The weight matrix L(.) of one smoother on one training design X.
 
-    ``factor`` is the Cholesky factor of A (least squares, ridge); ``K`` is the
-    training kernel, ``A_inv`` the inverse of A = K + lam I and ``bandwidth``
+    ``A_inv`` is the inverse of A = X'X + lam I (least squares, ridge) or of
+    A = K + lam I (kernel ridge); ``K`` is the training kernel and ``bandwidth``
     the resolved bandwidth (kernel ridge); ``nbrs`` holds the in-sample
-    neighbor sets (kNN).  Evaluating L(X0) y at new rows needs
-    only ``spec``, ``X`` and ``bandwidth``.
+    neighbor sets (kNN).  Every Cholesky-based smoother holds A^-1, so its
+    solves are products with it.  Evaluating L(X0) y at new rows needs only
+    ``spec``, ``X`` and ``bandwidth``.
     """
 
     spec: SmootherSpec
     X: np.ndarray
-    factor: np.ndarray | None = None
     K: np.ndarray | None = None
     bandwidth: float | None = None
     nbrs: np.ndarray | None = None
@@ -180,9 +181,7 @@ class _Operator:
         """The weights c of y, for ``apply``."""
         if self.spec.variant == "knn":
             return y
-        if self.spec.variant == "kernel_ridge":
-            return self.A_inv @ y
-        return _cho_solve(self.factor, self.X.T @ y)
+        return self.A_inv @ (y if self.spec.variant == "kernel_ridge" else self.X.T @ y)
 
     def apply(self, c: np.ndarray, X0: np.ndarray | None = None, sigma2: float | None = None):
         """``(L(X0) y, sigma2 ||L(X0)||_F^2 / m)`` for c = solve(y); X0 ``None`` means X.
@@ -207,7 +206,7 @@ class _Operator:
             return out, sigma2 / len(B) * float(np.vdot(W, W))
         if spec.lam == 0.0 and X0 is None:
             return out, sigma2 * p / n
-        W = _cho_solve(self.factor, B.T)  # A^-1 B'
+        W = self.A_inv @ B.T
         if spec.lam == 0.0:
             sq = np.einsum("ij,ji->", B, W)  # L(X0) L(X0)' = X0 A^-1 X0'
         else:
@@ -219,19 +218,20 @@ class _Operator:
         """``(E (L(x0) y - f(x0))^2, sigma2 E|L(x0)|^2)`` over a fresh row x0, for c = solve(y).
 
         ``t`` is rows ``(X0, f(X0))`` to average over, or x0's moments (least squares, ridge):
-        |R'(c - beta*)|^2 + e_perp and sigma2 tr(A^-1 X'X A^-1 R R'), sigma2 |F^-1 R|_F^2 for
-        least squares (A = F F'), sigma2 |X A^-1 R|_F^2 for ridge.  As in ``apply``, the
+        |R'(c - beta*)|^2 + e_perp and sigma2 tr(A^-1 X'X A^-1 R R'), sigma2 tr(R' A^-1 R) for
+        least squares, sigma2 |X A^-1 R|_F^2 for ridge.  As in ``apply``, the
         variance is ``None`` unless ``sigma2`` is given."""
         if isinstance(t, tuple):
             fit, var = self.apply(c, t[0], sigma2)
             return float(np.mean((fit - t[1]) ** 2)), var
-        R, F = t.root, self.factor
+        R = t.root
         d = R.T @ (c - t.beta)
         bias = float(d @ d) + t.e_perp
         if sigma2 is None:
             return bias, None
-        W = _tri_solve(F, R) if self.spec.lam == 0.0 else self.X @ _cho_solve(F, R)
-        return bias, sigma2 * float(np.sum(W * W))
+        W = self.A_inv @ R
+        sq = np.sum(R * W) if self.spec.lam == 0.0 else np.sum((self.X @ W) ** 2)
+        return bias, sigma2 * float(sq)
 
     def hat_diag(self) -> np.ndarray:
         """The diagonal of L(X), with the round-off below 0 clipped."""
@@ -240,13 +240,12 @@ class _Operator:
         if self.spec.variant == "kernel_ridge":
             h = 1.0 - self.spec.lam * np.diag(self.A_inv)  # L(X) = I - lam A^-1
         else:
-            W = _cho_solve(self.factor, self.X.T)
-            h = np.einsum("ij,ji->i", self.X, W)
+            h = np.einsum("ij,ij->i", self.X @ self.A_inv, self.X)
         return np.clip(h, 0.0, None)
 
 
 def _factorize(spec: SmootherSpec, X: np.ndarray) -> _Operator:
-    """The smoother of ``spec`` on X: one Cholesky factorization or one neighbor search.
+    """The smoother of ``spec`` on X: one Cholesky factorization and inverse, or one neighbor search.
 
     Raises
     ------
@@ -274,7 +273,7 @@ def _factorize(spec: SmootherSpec, X: np.ndarray) -> _Operator:
         if spec.lam == 0.0:
             raise RankDeficient(f"rank(X) < p for n={n}, p={p}") from exc
         raise
-    return _Operator(spec, X, factor)
+    return _Operator(spec, X, A_inv=_cho_inverse(factor))
 
 
 def fit(spec: SmootherSpec, X, Y) -> FittedSmoother:

@@ -798,12 +798,27 @@ def test_module_entry_point_passes_exit_codes_to_the_shell(tmp_path):
         assert proc.returncode == code, proc.stderr
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # only copula draws and their x0 moments need it
-    src = str(Path(randomx_eval.__file__).resolve().parents[1])
-    code = "import sys, randomx_eval.cli; sys.exit('scipy.special' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+#: Run in a fresh process: ``cli.main`` on the arguments, if any, then print the exit code and
+#: every loaded module of scipy.linalg and scipy.special.
+_SCIPY_PROBE = """
+import sys
+from randomx_eval import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "special"])))
+"""
+
+
+def test_import_leaves_scipy_special_unloaded(tmp_path):
+    # only copula draws and their x0 moments need scipy.special, and LAPACK comes from numpy:
+    # neither the import nor an eval run, manifest included, loads scipy.linalg or scipy.special
+    env = {**os.environ, "PYTHONPATH": str(Path(randomx_eval.__file__).resolve().parents[1])}
+    data, _, _ = write_dataset(tmp_path)
+    out = str(tmp_path / "out.csv")
+    for argv in ([], ["eval", data, "--sigma2", "1", "--out", out],
+                 ["eval", data, "--smoother", "ridge", "--lam", "3", "--out", out]):
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.stdout.split() == ["0"], (argv, proc.stdout, proc.stderr)
 
 
 def test_tracer_binds_every_name_it_patches(tmp_path):

@@ -38,7 +38,8 @@ from randomx_eval.decomp import (
 )
 from randomx_eval.errors import LeverageOne, RankDeficient, ReplicateError
 from randomx_eval.experiments import ScenarioConfig
-from randomx_eval.smoothers import SmootherSpec, _factorize, fit, gaussian_bandwidth, predict
+from randomx_eval.smoothers import (SmootherSpec, _factorize, _Operator, fit, gaussian_bandwidth,
+                                    predict)
 
 
 # --------------------------------------------------------------------------
@@ -468,6 +469,35 @@ def test_exact_bias_of_a_linear_mean_is_rounding_and_nonnegative():
                 op = _factorize(SmootherSpec.least_squares(), X)
                 bias_r = op.integrate(op.solve(mean.evaluate(X)), moments, 1.0)[0]
                 assert 0.0 <= bias_r < 1e-20
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cells_least_squares_fits_exactly_solve_nothing(monkeypatch, threads):
+    # f = x' beta* (e_perp 0): c = beta* unsolved, so an unbiased cell calls solve zero times a
+    # replicate and a biased cell once, and their rows equal the full computation
+    unbiased = _scenario(covariates=LAWS["copula_uniform"], n=20, reps=4, name="unbiased")
+    biased = replace(unbiased, mean=MeanModel.abs_sum(0.75), covariates=LAWS["normal_block"],
+                     name="biased")
+    spec = SmootherSpec.least_squares()
+    solve, solved = _Operator.solve, []
+    monkeypatch.setattr(_Operator, "solve", lambda op, y: solved.append(y) or solve(op, y))
+    rows = []
+    for sc, calls in ((unbiased, 0), (biased, 1)):
+        solved.clear()
+        rows += decomp._estimate_group([sc], spec, threads)
+        assert len(solved) == calls * sc.reps
+
+    def full(op, fX, sigma2, test):
+        c = op.solve(fX)
+        fit_s, var_s = op.apply(c, None, sigma2)
+        bias_r, var_r = op.integrate(c, test, sigma2)
+        bias_s = float(np.mean((fit_s - fX) ** 2))
+        if test.e_perp == 0.0:
+            bias_s = bias_r = 0.0
+        return ConditionalMoments(bias_s, var_s, bias_r, var_r)
+
+    monkeypatch.setattr(decomp, "_conditional_moments", full)
+    assert decomp._estimate_group([unbiased, biased], spec, threads) == rows
 
 
 #: The six cells of the bundled ``high_dim.json``: three laws, each under two means.

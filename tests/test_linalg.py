@@ -1,18 +1,35 @@
-"""Tests for the pivot-screened Cholesky factor, the inverse and hat diagonal built on it."""
+"""Tests for the pivot-screened Cholesky factor, the inverse and hat diagonal built on it.
+
+scipy's LAPACK wrappers serve as the reference for the routines `linalg` binds from numpy's
+OpenBLAS.
+"""
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf as scipy_dpotrf
 
-from randomx_eval import linalg
+from randomx_eval import datagen, linalg
 from randomx_eval.errors import NotPositiveDefinite, RankDeficient
 from randomx_eval.linalg import _cho_inverse, _cholesky_spd
 from randomx_eval.smoothers import SmootherSpec, fit
 
 
 def solve_spd(A, b):
-    """Solve A x = b through `_cholesky_spd`, as every smoother does."""
-    return scipy.linalg.cho_solve((_cholesky_spd(np.asarray(A, dtype=float)), True), b)
+    """Solve A x = b through A^-1 from `_cholesky_spd` and `_cho_inverse`, as every smoother does."""
+    return _cho_inverse(_cholesky_spd(np.asarray(A, dtype=float))) @ np.asarray(b, dtype=float)
+
+
+def spd(n, seed):
+    """A random symmetric positive definite n x n matrix, condition number below about 10."""
+    M = np.random.default_rng(seed).standard_normal((n, n + 5))
+    return M @ M.T / n + np.eye(n)
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 def hat_diagonal(X, ridge=0.0):
@@ -68,12 +85,63 @@ class TestSolveSpd:
             fit(SmootherSpec.least_squares(), [[np.inf], [1.0]], [1.0, 1.0])
 
 
+class TestAgainstScipy:
+    @pytest.mark.parametrize("n", [1, 2, 50, 64, 65, 200])
+    def test_factor_inverse_and_solve(self, n):
+        A = spd(n, n)
+        F = _cholesky_spd(A)
+        ref = scipy.linalg.cholesky(A, lower=True)
+        assert rel_err(np.tril(F), ref) <= 1e-12
+        inv = _cho_inverse(F)
+        assert rel_err(inv, scipy.linalg.inv(A)) <= 1e-12
+        b = np.random.default_rng(n + 1).standard_normal((n, 3))
+        assert rel_err(inv @ b, scipy.linalg.cho_solve((ref, True), b)) <= 1e-12
+
+    @pytest.mark.parametrize("A", [[[1.0, 2.0], [2.0, 1.0]],
+                                   [[4.0, 0.0, 0.0], [0.0, 1.0, 3.0], [0.0, 3.0, 2.0]],
+                                   [[-1.0]]], ids=["2x2", "3x3", "negative"])
+    def test_indefinite_names_the_leading_minor_scipy_names(self, A):
+        A = np.array(A)
+        info = scipy_dpotrf(A, lower=1)[1]
+        assert info > 0
+        with pytest.raises(NotPositiveDefinite, match=f"^leading minor {info} is not positive"):
+            _cholesky_spd(A)
+
+    def test_a_missing_routine_names_numpy_blas(self):
+        with pytest.raises(ImportError, match=r"^numpy .*'s BLAS \(.*\) exports no scipy_dnone_64_"):
+            linalg._bind("dnone")
+
+    @pytest.mark.parametrize("a", [np.ones((3, 2), order="F"), np.eye(3), np.eye(3, dtype=np.float32),
+                                   np.eye(4, order="F")[::2, ::2]],
+                             ids=["not_square", "c_order", "float32", "strided"])
+    def test_lapack_refuses_arrays_it_would_misread(self, a):
+        with pytest.raises(ValueError, match="Fortran-order square float64"):
+            linalg._lapack_lower(linalg.dpotrf, a)
+
+    def test_input_left_unchanged(self):
+        A = spd(5, 0)
+        before = A.copy()
+        _cho_inverse(_cholesky_spd(A))
+        assert np.array_equal(A, before)
+
+    def test_t4_nodes_match_golub_welsch(self, monkeypatch):
+        # the 64-node Gauss-Legendre rule from the eigenvectors of its Jacobi matrix
+        def golub_welsch(nodes):
+            k = np.arange(1.0, nodes)
+            x, V = scipy.linalg.eigh_tridiagonal(np.zeros(nodes), k / np.sqrt(4.0 * k * k - 1.0))
+            return x, 2.0 * V[0] ** 2
+
+        rhos = (0.0, 0.3, 0.9, 0.99)
+        got = np.array([datagen._t4_pair_moments(rho) for rho in rhos])
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", golub_welsch)
+        want = np.array([datagen._t4_pair_moments(rho) for rho in rhos])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestChoInverse:
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 201])
     def test_symmetric_and_equal_to_the_inverse(self, n):
-        rng = np.random.default_rng(n)
-        M = rng.standard_normal((n, n + 5))
-        A = M @ M.T / n + np.eye(n)  # condition number below about 10
+        A = spd(n, n)
         inv = _cho_inverse(_cholesky_spd(A))
         assert np.array_equal(inv, inv.T)
         ref = np.linalg.inv(A)
@@ -88,6 +156,14 @@ class TestChoInverse:
         with pytest.raises(NotPositiveDefinite):  # kernel ridge on duplicate rows, lam ~ 0
             fit(SmootherSpec.kernel_ridge(1e-300), np.ones((4, 2)), np.zeros(4))
         assert inverted == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 63, 64, 65, 130, 500]), seed=st.integers(0, 2**32 - 1))
+    def test_exactly_symmetric_inverse_around_the_mirror_blocks(self, n, seed):
+        A = spd(n, seed)
+        inv = _cho_inverse(_cholesky_spd(A))
+        assert inv.shape == (n, n) and np.array_equal(inv, inv.T)
+        assert np.max(np.abs(A @ inv - np.eye(n))) <= 1e-12
 
 
 class TestHatDiagonal:
